@@ -9,6 +9,7 @@ negative batteries: when the expected refutation did occur and replayed).
 
 from __future__ import annotations
 
+import cmath
 import csv
 import json
 import os
@@ -60,6 +61,14 @@ class RunConfig:
     csv_path: str | None = None
     workers: int = 0  # 0 = read from environment, else 1
 
+    def __post_init__(self):
+        # a battery over no samples, or a search with no starts or steps,
+        # would pass vacuously
+        for name in ("samples", "starts", "iters"):
+            if getattr(self, name) <= 0:
+                raise ValueError(
+                    f"{name} must be positive, got {getattr(self, name)}")
+
     def budget(self, seed: int) -> SearchBudget:
         return SearchBudget(self.starts, self.iters, self.tol, seed)
 
@@ -88,6 +97,7 @@ def form_to_json(u: ExteriorForm) -> dict:
 
 
 def form_from_json(obj: dict) -> ExteriorForm:
+    # the mapping constructor rejects bad multi-indices and non-finite values
     coeffs = {(tuple(e["I"]), tuple(e["J"])): complex(e["re"], e["im"])
               for e in obj["coeffs"]}
     return ExteriorForm(obj["n"], obj["p"], obj["q"], coeffs)
@@ -136,6 +146,9 @@ def curvature_from_json(obj: dict) -> CurvaturePoint:
                 except (KeyError, TypeError, ValueError) as exc:
                     raise ValueError(
                         f"theta[{a}][{b}] entry {t} malformed: {exc}") from exc
+                if not cmath.isfinite(v):
+                    raise ValueError(
+                        f"theta[{a}][{b}] entry {t} is not finite: {v}")
                 if not (1 <= j <= n and 1 <= k <= n):
                     raise ValueError(
                         f"theta[{a}][{b}] entry {t} has indices ({j},{k}) "
@@ -523,25 +536,48 @@ def _front_block_pushforward(p: SymPoly) -> SymPoly:
     return -1 * divide_exact(anti, den)
 
 
+def _form_field(spec: dict, name: str, parse, default=None):
+    """``parse(spec[name])``; ValueError naming the field when it is missing
+    (and has no default) or malformed."""
+    if name not in spec and default is not None:
+        return default
+    try:
+        return parse(spec[name])
+    except KeyError:
+        raise ValueError(f"form spec lacks the field {name!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"form field {name!r} is malformed: {exc}") from exc
+
+
+def _int_list(value) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list of integers, got {value!r}")
+    return tuple(int(x) for x in value)
+
+
 def check_form_file(cfg: RunConfig) -> dict:
     """Read a curvature file, build the requested form, run requested checks."""
     if not cfg.input_path:
         raise ValueError("check-form needs an input path")
     with open(cfg.input_path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("check-form document must be a JSON object")
     point = curvature_from_json(doc.get("curvature", doc))
     spec = doc.get("form", {"kind": "chern", "k": min(point.r, point.n)})
+    if not isinstance(spec, dict):
+        raise ValueError("form spec must be a JSON object")
     kind = spec.get("kind", "chern")
     if kind == "chern":
-        form = chern_form(point, int(spec.get("k", 1)))
+        form = chern_form(point, _form_field(spec, "k", int, 1))
     elif kind == "chern_oracle":
-        form = chern_form_oracle(point, int(spec.get("k", 1)))
+        form = chern_form_oracle(point, _form_field(spec, "k", int, 1))
     elif kind == "segre":
-        form = segre_form(point, int(spec.get("k", 1)))
+        form = segre_form(point, _form_field(spec, "k", int, 1))
     elif kind == "schur":
-        form = schur_form(point, tuple(spec["sigma"]))
+        form = schur_form(point, _form_field(spec, "sigma", _int_list))
     elif kind == "generalized_schur":
-        form = generalized_schur_form(point, tuple(spec["sigma"]))
+        form = generalized_schur_form(point, _form_field(spec, "sigma", _int_list))
     else:
         raise ValueError(f"unknown form kind {kind!r}")
     record = {"form_kind": kind, "form": form_to_json(form)}
@@ -566,10 +602,15 @@ def check_form_file(cfg: RunConfig) -> dict:
 # ---------------------------------------------------------------------------
 # output
 
+def report_json(report: dict) -> str:
+    """The report as strict JSON text; ValueError on NaN or infinity."""
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def write_report(report: dict, path: str) -> None:
+    text = report_json(report)
     with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def write_csv(report: dict, path: str) -> None:

@@ -9,12 +9,12 @@ flat CSV per-sample summary via --csv.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .batch import (POSITIVE_KINDS, RunConfig, WORKERS_ENV, check_form_file,
-                    verify_c2, verify_inequalities, verify_main_theorem,
-                    verify_pushforwards, write_csv, write_report)
+                    report_json, verify_c2, verify_inequalities,
+                    verify_main_theorem, verify_pushforwards, write_csv,
+                    write_report)
 from .generators import GeneratorSpec
 
 COMMANDS = {
@@ -109,19 +109,18 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = config_from_args(args)
     try:
+        cfg = config_from_args(args)
         report = COMMANDS[args.command](cfg)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+        if cfg.output_path:
+            write_report(report, cfg.output_path)
+        else:
+            sys.stdout.write(report_json(report))
+        if cfg.csv_path:
+            write_csv(report, cfg.csv_path)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if cfg.output_path:
-        write_report(report, cfg.output_path)
-    else:
-        json.dump(report, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
-    if cfg.csv_path:
-        write_csv(report, cfg.csv_path)
     return 0 if report["aggregate"]["ok"] else 1
 
 

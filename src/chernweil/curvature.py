@@ -56,19 +56,16 @@ class CurvaturePoint:
 
 def from_coefficients(t: np.ndarray) -> CurvaturePoint:
     """Build a point from the dense coefficient tensor t[a, b, j, k]."""
-    t = np.asarray(t, dtype=complex)
+    t = np.array(t, dtype=complex)
     r, r2, n, n2 = t.shape
     if r != r2 or n != n2:
         raise ValueError(f"tensor shape {t.shape} is not (r, r, n, n)")
-    rows = []
-    for a in range(r):
-        row = []
-        for b in range(r):
-            coeffs = {((j + 1,), (k + 1,)): t[a, b, j, k]
-                      for j in range(n) for k in range(n) if t[a, b, j, k] != 0}
-            row.append(ExteriorForm(n, 1, 1, coeffs))
-        rows.append(tuple(row))
-    return CurvaturePoint(n, r, tuple(rows))
+    if n < 1:
+        raise ValueError("(1,1)-forms need n >= 1")
+    # the coefficient array of a (1,1)-form is indexed by (j, k) directly
+    return CurvaturePoint(n, r, tuple(
+        tuple(ExteriorForm._from_array(n, 1, 1, t[a, b]) for b in range(r))
+        for a in range(r)))
 
 
 def coefficients(c: CurvaturePoint) -> np.ndarray:
@@ -76,8 +73,7 @@ def coefficients(c: CurvaturePoint) -> np.ndarray:
     t = np.zeros((c.r, c.r, c.n, c.n), dtype=complex)
     for a in range(c.r):
         for b in range(c.r):
-            for (I, J), v in c.theta[a][b].coeffs.items():
-                t[a, b, I[0] - 1, J[0] - 1] = v
+            t[a, b] = c.theta[a][b].array
     return t
 
 
@@ -267,10 +263,8 @@ def _det_mixed(mat, n: int, weight: int) -> ExteriorForm:
             for j in range(i + 1, k):
                 if perm[i] > perm[j]:
                     sign = -sign
-        term = wedge_all(entries) * sign
-        if term.is_zero():
-            continue
-        out = out + ExteriorForm(n, weight, weight, term.coeffs)
+        term = wedge_all(entries)
+        out = out + term if sign > 0 else out - term
     return out
 
 
@@ -313,7 +307,13 @@ def griffiths_energy(c: CurvaturePoint, v: Sequence[complex],
     return val.real
 
 
-def _hermitian_min_eig(H: np.ndarray):
+def hermitian_min_eig(H: np.ndarray):
+    """Smallest eigenvalue and a unit eigenvector of the Hermitian part of H.
+
+    Batched over leading axes: returns (w[...], v[..., :]).  Both alternating
+    searches (Griffiths energy, weak positivity) take their exact one-argument
+    step from this.
+    """
     H = 0.5 * (H + np.conj(np.swapaxes(H, -1, -2)))
     w, V = np.linalg.eigh(H)
     return w[..., 0], V[..., :, 0]
@@ -343,10 +343,10 @@ def griffiths_minimum(c: CurvaturePoint, budget: SearchBudget = SearchBudget()) 
     for _ in range(budget.local_iters):
         # v-step: G = v^H K(tau) v
         K = np.einsum("abjk,sj,sk->sab", t, tau, tau.conj())
-        _, v = _hermitian_min_eig(K)
+        _, v = hermitian_min_eig(K)
         # tau-step: G = sum L[j,k] tau_j conj(tau_k) = z^H L z at z = conj(tau)
         L = np.einsum("abjk,sa,sb->sjk", t, v.conj(), v)
-        _, z = _hermitian_min_eig(L)
+        _, z = hermitian_min_eig(L)
         tau = z.conj()
         vals = np.real(np.einsum("abjk,sa,sb,sj,sk->s", t, v.conj(), v, tau, tau.conj()))
         if np.max(prev - vals) < 1e-13 * scale:

@@ -1,13 +1,17 @@
 """Pointwise complex exterior algebra on C^n.
 
-A form of bidegree (p, q) is stored sparsely as a coefficient map keyed by
-pairs of strictly increasing 1-based multi-indices (I, J).  The key stands
-for the basis form
+A form of bidegree (p, q) is stored densely: ``u.array`` is a complex
+C(n,p) x C(n,q) array whose rows and columns follow the lexicographic order
+of :func:`multi_indices`.  Entry (I, J), for strictly increasing 1-based
+multi-indices I and J, is the coefficient of the basis form
 
     e_{i1}^v ^ ... ^ e_{ip}^v ^ conj(e_{j1}^v) ^ ... ^ conj(e_{jq}^v),
 
-holomorphic factors first.  Coefficients are complex floats; exact zeros are
-pruned, nothing else is ever rounded away.
+holomorphic factors first.  Coefficients are complex floats; nothing is ever
+rounded away.  The mapping constructor ``ExteriorForm(n, p, q, {(I, J): c})``
+is the one place that checks multi-indices and values; every internal result
+is built straight from its array.  ``coeffs`` and ``items()`` read the
+nonzero entries back out as (I, J) keys for display and export.
 
 Sign conventions (the single source of truth for the whole package):
 
@@ -18,14 +22,26 @@ Sign conventions (the single source of truth for the whole package):
   (J, I) times ``(-1)**(p*q)``.  This makes ``i e^v ^ conj(e^v)`` real and
   conjugation multiplicative over wedge.
 
+The shuffle signs live in one table per (n, a, b), built on first use and
+cached by :func:`merge_table`: the signed matrix that sends products of an
+a-index and a b-index coefficient to the (a+b)-index coefficient.  ``wedge``
+applies it on both sides of the outer product of two coefficient arrays;
+:func:`plucker` applies it one vector at a time to get the coordinates of
+w_1 ^ ... ^ w_p.
+
 Key entry points: :class:`ExteriorForm`, :func:`wedge`, :func:`conjugate` is
 a method, :func:`volume_coefficient`, :func:`evaluate_pairing`,
-:func:`restrict`, :func:`decomposable`, :func:`hermitian_gram`.
+:func:`restrict`, :func:`decomposable`, :func:`hermitian_gram`,
+:func:`plucker`.
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
 import itertools
+from math import comb
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -50,9 +66,19 @@ class NotReal(ValueError):
     """A real number was requested but the imaginary part is above tolerance."""
 
 
+@functools.lru_cache(maxsize=None)
+def _basis(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(itertools.combinations(range(1, n + 1), k))
+
+
+@functools.lru_cache(maxsize=None)
+def _positions(n: int, k: int) -> dict[tuple[int, ...], int]:
+    return {I: i for i, I in enumerate(_basis(n, k))}
+
+
 def multi_indices(n: int, k: int) -> list[tuple[int, ...]]:
-    """All strictly increasing k-tuples with entries in 1..n."""
-    return list(itertools.combinations(range(1, n + 1), k))
+    """All strictly increasing k-tuples with entries in 1..n, in lexicographic order."""
+    return list(_basis(n, k))
 
 
 def _merge(a: tuple[int, ...], b: tuple[int, ...]):
@@ -85,6 +111,67 @@ def _merge(a: tuple[int, ...], b: tuple[int, ...]):
     return sign, tuple(out)
 
 
+@functools.lru_cache(maxsize=None)
+def merge_table(n: int, a: int, b: int) -> np.ndarray:
+    """Signed merge matrix of a-index by b-index coefficient products on C^n.
+
+    Shape (C(n, a+b), C(n,a) * C(n,b)); entry [pos(I u J), pos(I) * C(n,b) +
+    pos(J)] is the Koszul sign of the shuffle of I followed by J, and zero
+    when I and J share an index.  Built on first use, cached, read-only.
+    """
+    left, right = _basis(n, a), _basis(n, b)
+    target = _positions(n, a + b)
+    H = np.zeros((len(target), len(left) * len(right)))
+    for i, I in enumerate(left):
+        for j, J in enumerate(right):
+            sign, merged = _merge(I, J)
+            if sign:
+                H[target[merged], i * len(right) + j] = sign
+    H.setflags(write=False)
+    return H
+
+
+@functools.lru_cache(maxsize=None)
+def _merge_columns(n: int, a: int, b: int):
+    """``merge_table(n, a, b)`` cut to its nonzero columns.
+
+    Returns ``(left, right, H)``: column c of H is the product of the
+    a-index at position left[c] and the b-index at position right[c].
+    """
+    full = merge_table(n, a, b)
+    cols = np.flatnonzero(full.any(axis=0))
+    left, right = np.divmod(cols, comb(n, b))
+    H = full[:, cols]
+    for arr in (left, right, H):
+        arr.setflags(write=False)
+    return left, right, H
+
+
+def plucker(ws: np.ndarray) -> np.ndarray:
+    """Coordinates of w_1 ^ ... ^ w_p on the basis e_I, for a stack ws[s, t, :].
+
+    Returns an (s, C(n, p)) array.  Entry I is the determinant of columns I
+    of the p x n matrix with rows w_1..w_p, i.e. the coefficient of the
+    decomposable (p,0)-form at I.
+    """
+    ws = np.asarray(ws, dtype=complex)
+    s, p, n = ws.shape
+    cur = np.ones((s, 1), dtype=complex)
+    for t in range(p):
+        left, right, H = _merge_columns(n, t, 1)
+        cur = (cur[:, left] * ws[:, t, right]) @ H.T
+    return cur
+
+
+def _check_bidegree(n: int, p: int, q: int):
+    if n < 0 or p < 0 or q < 0 or p > n or q > n:
+        raise ValueError(f"invalid bidegree ({p},{q}) on C^{n}")
+
+
+def _zeros(n: int, p: int, q: int) -> np.ndarray:
+    return np.zeros((comb(n, p), comb(n, q)), dtype=complex)
+
+
 def _check_index(I: tuple[int, ...], n: int, k: int) -> tuple[int, ...]:
     I = tuple(int(i) for i in I)
     if len(I) != k:
@@ -97,40 +184,57 @@ def _check_index(I: tuple[int, ...], n: int, k: int) -> tuple[int, ...]:
 
 
 class ExteriorForm:
-    """A (p, q)-form at a point of C^n, sparse over basis index pairs.
+    """A (p, q)-form at a point of C^n, a dense C(n,p) x C(n,q) array.
 
     Treat instances as immutable; all operations return new forms.
     """
 
-    __slots__ = ("n", "p", "q", "coeffs", "annihilated")
+    __slots__ = ("n", "p", "q", "array", "annihilated")
 
     def __init__(self, n: int, p: int, q: int,
                  coeffs: Mapping | None = None, *, annihilated: bool = False):
-        if n < 0 or p < 0 or q < 0 or p > n or q > n:
-            raise ValueError(f"invalid bidegree ({p},{q}) on C^{n}")
-        self.n = int(n)
-        self.p = int(p)
-        self.q = int(q)
-        self.annihilated = bool(annihilated)
-        data: dict[tuple[tuple[int, ...], tuple[int, ...]], complex] = {}
+        _check_bidegree(n, p, q)
+        array = _zeros(n, p, q)
         if coeffs:
+            rows, cols = _positions(n, p), _positions(n, q)
             for (I, J), c in coeffs.items():
                 c = complex(c)
                 if c == 0:
                     continue
-                key = (_check_index(I, n, p), _check_index(J, n, q))
-                data[key] = data.get(key, 0.0 + 0.0j) + c
-        self.coeffs = {k: v for k, v in data.items() if v != 0}
+                if not cmath.isfinite(c):
+                    raise ValueError(
+                        f"coefficient {c} at ({tuple(I)}, {tuple(J)}) is not finite")
+                array[rows[_check_index(I, n, p)],
+                      cols[_check_index(J, n, q)]] += c
+        self.n = int(n)
+        self.p = int(p)
+        self.q = int(q)
+        self.array = array
+        self.annihilated = bool(annihilated)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _from_array(cls, n: int, p: int, q: int, array: np.ndarray,
+                    annihilated: bool = False) -> "ExteriorForm":
+        """Unchecked constructor for internal results.
+
+        ``array`` must be complex with shape (C(n,p), C(n,q)); it is taken
+        over, not copied.
+        """
+        u = object.__new__(cls)
+        u.n, u.p, u.q, u.array, u.annihilated = n, p, q, array, annihilated
+        return u
+
+    @classmethod
     def zero(cls, n: int, p: int, q: int) -> "ExteriorForm":
-        return cls(n, p, q)
+        _check_bidegree(n, p, q)
+        return cls._from_array(n, p, q, _zeros(n, p, q))
 
     @classmethod
     def scalar(cls, n: int, value: complex) -> "ExteriorForm":
-        return cls(n, 0, 0, {((), ()): value})
+        _check_bidegree(n, 0, 0)
+        return cls._from_array(n, 0, 0, np.full((1, 1), complex(value)))
 
     @classmethod
     def basis(cls, n: int, holo: Sequence[int], anti: Sequence[int],
@@ -145,11 +249,18 @@ class ExteriorForm:
     def bidegree(self) -> tuple[int, int]:
         return (self.p, self.q)
 
+    @property
+    def coeffs(self) -> Mapping:
+        """Read-only map {(I, J): c} of the nonzero entries, built from the array."""
+        rows, cols = _basis(self.n, self.p), _basis(self.n, self.q)
+        return MappingProxyType({(rows[i], cols[j]): complex(self.array[i, j])
+                                 for i, j in zip(*np.nonzero(self.array))})
+
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.array.any()
 
     def max_abs(self) -> float:
-        return max((abs(c) for c in self.coeffs.values()), default=0.0)
+        return float(np.abs(self.array).max())
 
     def _tol(self, tol: float | None) -> float:
         # default tolerance scales with the largest coefficient
@@ -167,29 +278,24 @@ class ExteriorForm:
         if not isinstance(other, ExteriorForm):
             return NotImplemented
         self._same_shape(other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            s = out.get(k, 0.0 + 0.0j) + c
-            if s == 0:
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return ExteriorForm(self.n, self.p, self.q, out)
+        return ExteriorForm._from_array(self.n, self.p, self.q,
+                                        self.array + other.array)
 
     def __sub__(self, other: "ExteriorForm") -> "ExteriorForm":
         if not isinstance(other, ExteriorForm):
             return NotImplemented
-        return self + (-1.0) * other
+        self._same_shape(other)
+        return ExteriorForm._from_array(self.n, self.p, self.q,
+                                        self.array - other.array)
 
     def __neg__(self) -> "ExteriorForm":
-        return (-1.0) * self
+        return ExteriorForm._from_array(self.n, self.p, self.q, -self.array)
 
     def __mul__(self, scalar) -> "ExteriorForm":
         if isinstance(scalar, ExteriorForm):
             return NotImplemented
-        s = complex(scalar)
-        return ExteriorForm(self.n, self.p, self.q,
-                            {k: s * c for k, c in self.coeffs.items()})
+        return ExteriorForm._from_array(self.n, self.p, self.q,
+                                        complex(scalar) * self.array)
 
     __rmul__ = __mul__
 
@@ -207,47 +313,43 @@ class ExteriorForm:
         p = self.p + other.p
         q = self.q + other.q
         if p > n or q > n:
-            return ExteriorForm(n, min(p, n), min(q, n), annihilated=True)
+            p, q = min(p, n), min(q, n)
+            return ExteriorForm._from_array(n, p, q, _zeros(n, p, q), True)
+        rows1, rows2, H = _merge_columns(n, self.p, other.p)
+        cols1, cols2, K = _merge_columns(n, self.q, other.q)
+        # products of coefficients over index pairs that do not overlap:
+        # rows (I1, I2), columns (J1, J2)
+        T = self.array[rows1][:, cols1] * other.array[rows2][:, cols2]
+        out = H @ T @ K.T
         # sign from moving other's holomorphic block past self's
         # antiholomorphic block
-        block = -1 if (other.p * self.q) % 2 else 1
-        out: dict = {}
-        for (I1, J1), c1 in self.coeffs.items():
-            for (I2, J2), c2 in other.coeffs.items():
-                sI, I = _merge(I1, I2)
-                if sI == 0:
-                    continue
-                sJ, J = _merge(J1, J2)
-                if sJ == 0:
-                    continue
-                key = (I, J)
-                s = out.get(key, 0.0 + 0.0j) + block * sI * sJ * c1 * c2
-                if s == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return ExteriorForm(n, p, q, out)
+        if (other.p * self.q) % 2:
+            out = -out
+        return ExteriorForm._from_array(n, p, q, out)
 
     def conjugate(self) -> "ExteriorForm":
         sign = -1 if (self.p * self.q) % 2 else 1
-        return ExteriorForm(
-            self.n, self.q, self.p,
-            {(J, I): sign * c.conjugate() for (I, J), c in self.coeffs.items()})
+        return ExteriorForm._from_array(self.n, self.q, self.p,
+                                        sign * self.array.conj().T)
 
     def is_real(self, tol: float | None = None) -> bool:
         """True when conjugate(u) == u within tolerance."""
-        diff = self.conjugate() - self if self.p == self.q else None
-        if diff is None:
+        if self.p != self.q:
             return False
-        return diff.max_abs() <= self._tol(tol)
+        return (self.conjugate() - self).max_abs() <= self._tol(tol)
 
     # -- plumbing ----------------------------------------------------------
 
     def items(self):
+        """Nonzero entries as ((I, J), c) pairs, sorted by (I, J)."""
         return sorted(self.coeffs.items())
 
     def get(self, I: Sequence[int], J: Sequence[int]) -> complex:
-        return self.coeffs.get((tuple(I), tuple(J)), 0.0 + 0.0j)
+        i = _positions(self.n, self.p).get(tuple(I))
+        j = _positions(self.n, self.q).get(tuple(J))
+        if i is None or j is None:
+            return 0.0 + 0.0j
+        return complex(self.array[i, j])
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -281,10 +383,9 @@ def wedge_power(u: ExteriorForm, k: int) -> ExteriorForm:
 
 def one_form(components: Sequence[complex]) -> ExteriorForm:
     """(1,0)-form sum_j components[j] * e_{j+1}^v."""
-    comp = [complex(c) for c in components]
-    n = len(comp)
-    return ExteriorForm(n, 1, 0,
-                        {((j + 1,), ()): c for j, c in enumerate(comp) if c})
+    comp = np.array([complex(c) for c in components], dtype=complex)
+    _check_bidegree(len(comp), 1, 0)
+    return ExteriorForm._from_array(len(comp), 1, 0, comp.reshape(-1, 1))
 
 
 def decomposable(factors: Sequence[Sequence[complex]]) -> ExteriorForm:
@@ -303,22 +404,15 @@ def hermitian_one_one(m: np.ndarray) -> ExteriorForm:
     n = m.shape[0]
     if m.shape != (n, n):
         raise ValueError("matrix must be square")
-    coeffs = {}
-    for j in range(n):
-        for k in range(n):
-            if m[j, k] != 0:
-                coeffs[((j + 1,), (k + 1,))] = 1j * m[j, k]
-    return ExteriorForm(n, 1, 1, coeffs)
+    _check_bidegree(n, 1, 1)
+    return ExteriorForm._from_array(n, 1, 1, 1j * m)
 
 
 def one_one_matrix(u: ExteriorForm) -> np.ndarray:
     """Inverse of :func:`hermitian_one_one`: m[j,k] = -i * coefficient."""
     if u.bidegree != (1, 1):
         raise ValueError("not a (1,1)-form")
-    m = np.zeros((u.n, u.n), dtype=complex)
-    for (I, J), c in u.coeffs.items():
-        m[I[0] - 1, J[0] - 1] = -1j * c
-    return m
+    return -1j * u.array
 
 
 def top_coefficient(u: ExteriorForm) -> complex:
@@ -331,8 +425,7 @@ def top_coefficient(u: ExteriorForm) -> complex:
     n = u.n
     if u.bidegree != (n, n):
         raise NotTopDegree(f"bidegree {u.bidegree} on C^{n} is not ({n},{n})")
-    full = tuple(range(1, n + 1))
-    return ipow(-n * n) * u.coeffs.get((full, full), 0.0 + 0.0j)
+    return ipow(-n * n) * complex(u.array[0, 0])
 
 
 def volume_coefficient(u: ExteriorForm, tol: float | None = None) -> float:
@@ -344,20 +437,13 @@ def volume_coefficient(u: ExteriorForm, tol: float | None = None) -> float:
     return tau.real
 
 
-def _det_sub(vectors: np.ndarray, I: tuple[int, ...]) -> complex:
-    # vectors: p columns stacked as (p, n); rows I (1-based) picked out
-    sub = vectors[:, [i - 1 for i in I]]
-    if sub.shape[0] == 0:
-        return 1.0 + 0.0j
-    return complex(np.linalg.det(sub.T))
-
-
 def evaluate_pairing(u: ExteriorForm, vectors: Sequence[Sequence[complex]],
                      tol: float | None = None) -> float:
     """(-i)**(p*p) * u(w_1, ..., w_p, conj w_1, ..., conj w_p) for real (p,p) u.
 
     Evaluation reduces to sum_{I,J} u_{IJ} det(W_I) conj(det(W_J)) with
-    W_I the rows-I minor of the column matrix of the w's.
+    W_I the columns-I minor of the matrix with rows w_1..w_p: with w the
+    Plucker vector of W, the value is w^T U conj(w).
     """
     p = u.p
     if u.q != p:
@@ -372,18 +458,18 @@ def evaluate_pairing(u: ExteriorForm, vectors: Sequence[Sequence[complex]],
     if W.shape != (p, u.n):
         raise DimensionMismatch(
             f"expected {p} vectors in C^{u.n}, got shape {W.shape}")
-    dets: dict[tuple[int, ...], complex] = {}
-    total = 0.0 + 0.0j
-    for (I, J), c in u.coeffs.items():
-        if I not in dets:
-            dets[I] = _det_sub(W, I)
-        if J not in dets:
-            dets[J] = _det_sub(W, J)
-        total += c * dets[I] * dets[J].conjugate()
-    val = ipow(-p * p) * total
+    w = plucker(W[None])[0]
+    val = ipow(-p * p) * complex(w @ u.array @ w.conj())
     if abs(val.imag) > max(u._tol(tol), 1e-10 * max(1.0, abs(val))):
         raise NotReal(f"pairing value {val} has non-negligible imaginary part")
     return val.real
+
+
+def _compound(S: np.ndarray, p: int) -> np.ndarray:
+    """Transposed p-th compound of the n x k matrix S: [K, I] = det S[I, K]."""
+    k = S.shape[1]
+    picks = np.array(_basis(k, p), dtype=int).reshape(comb(k, p), p) - 1
+    return plucker(S.T[picks])
 
 
 def pullback(u: ExteriorForm, vectors: Sequence[Sequence[complex]]) -> ExteriorForm:
@@ -395,33 +481,11 @@ def pullback(u: ExteriorForm, vectors: Sequence[Sequence[complex]]) -> ExteriorF
         raise DimensionMismatch("vectors must live in C^n")
     k = S.shape[1]
     if u.p > k or u.q > k:
-        return ExteriorForm(k, min(u.p, k), min(u.q, k), annihilated=True)
-    holo_idx = multi_indices(k, u.p)
-    anti_idx = multi_indices(k, u.q)
-
-    def minor(I, K):
-        sub = S[np.ix_([i - 1 for i in I], [c - 1 for c in K])]
-        if sub.shape[0] == 0:
-            return 1.0 + 0.0j
-        return complex(np.linalg.det(sub))
-
-    out: dict = {}
-    for (I, J), c in u.coeffs.items():
-        for K in holo_idx:
-            dIK = minor(I, K)
-            if dIK == 0:
-                continue
-            for L in anti_idx:
-                dJL = minor(J, L)
-                if dJL == 0:
-                    continue
-                key = (K, L)
-                s = out.get(key, 0.0 + 0.0j) + c * dIK * dJL.conjugate()
-                if s == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-    return ExteriorForm(k, u.p, u.q, out)
+        p, q = min(u.p, k), min(u.q, k)
+        return ExteriorForm._from_array(k, p, q, _zeros(k, p, q), True)
+    # coefficient at (K, L): sum_{I,J} u_IJ det S[I,K] conj(det S[J,L])
+    out = _compound(S, u.p) @ u.array @ _compound(S, u.q).conj().T
+    return ExteriorForm._from_array(k, u.p, u.q, out)
 
 
 def restrict(u: ExteriorForm, vectors: Sequence[Sequence[complex]],

@@ -16,17 +16,18 @@ Three nested cones, ordered strongly <= Hermitian <= weakly positive:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
+from math import comb
 from typing import Sequence
 
 import numpy as np
 import scipy.optimize
 
-from .curvature import SearchBudget
+from .curvature import SearchBudget, hermitian_min_eig
 from .exterior import (ExteriorForm, NotReal, decomposable, evaluate_pairing,
-                       hermitian_gram, ipow, multi_indices, volume_coefficient)
+                       hermitian_gram, ipow, merge_table, plucker,
+                       volume_coefficient)
 
 
 class Status(Enum):
@@ -46,52 +47,6 @@ class PositivityVerdict:
 
 # ---------------------------------------------------------------------------
 # weak positivity: search over decomposable test tuples
-
-def _index_tables(n: int, p: int):
-    """Static maps for expanding a wedge by one vector.
-
-    For each size-p index set K (0-based positions into the size-(p-1) list)
-    the table holds (slot of K minus a, sign, a) for each a in K.
-    """
-    small = {c: i for i, c in enumerate(itertools.combinations(range(n), p - 1))}
-    table = []
-    for K in itertools.combinations(range(n), p):
-        rows = []
-        for pos, a in enumerate(K):
-            rest = tuple(x for x in K if x != a)
-            rows.append((small[rest], -1.0 if pos % 2 else 1.0, a))
-        table.append(rows)
-    return table
-
-
-def _wedge_vectors(ws: np.ndarray) -> np.ndarray:
-    """Plucker coordinates of w_1 ^ ... ^ w_p for a stack ws[s, i, :].
-
-    Built by repeated one-vector extension; the overall sign convention
-    cancels in every quadratic use below.
-    """
-    s, p, n = ws.shape
-    cur = np.ones((s, 1), dtype=complex)
-    for t in range(1, p + 1):
-        table = _index_tables(n, t)
-        nxt = np.zeros((s, len(table)), dtype=complex)
-        for idx, rows in enumerate(table):
-            acc = np.zeros(s, dtype=complex)
-            for slot, sign, a in rows:
-                acc += sign * ws[:, t - 1, a] * cur[:, slot]
-            nxt[:, idx] = acc
-        cur = nxt
-    return cur
-
-
-def _dense_matrix(u: ExteriorForm) -> np.ndarray:
-    combos = {c: i for i, c in enumerate(multi_indices(u.n, u.p))}
-    N = len(combos)
-    U = np.zeros((N, N), dtype=complex)
-    for (I, J), c in u.coeffs.items():
-        U[combos[I], combos[J]] = c
-    return U
-
 
 def check_positive(u: ExteriorForm, budget: SearchBudget = SearchBudget()) -> PositivityVerdict:
     """Weak positivity by multistart alternating minimization.
@@ -116,7 +71,7 @@ def check_positive(u: ExteriorForm, budget: SearchBudget = SearchBudget()) -> Po
                                  detail="zero form")
 
     n = u.n
-    U = _dense_matrix(u)
+    U = u.array
     phase = ipow(-p * p)
     scale = max(1.0, float(np.max(np.abs(U))))
     s = max(1, budget.random_starts)
@@ -124,27 +79,27 @@ def check_positive(u: ExteriorForm, budget: SearchBudget = SearchBudget()) -> Po
     ws = rng.standard_normal((s, p, n)) + 1j * rng.standard_normal((s, p, n))
     ws /= np.linalg.norm(ws, axis=2, keepdims=True)
 
-    ext_table = _index_tables(n, p)
+    # D[L, (K, a)]: sign of e_L ^ e_a at e_K, so the Plucker vector of p-1
+    # vectors V followed by x is sum_{L,a} V[L] D[L, (K, a)] x_a
+    N = comb(n, p)
+    D = merge_table(n, p - 1, 1).reshape(N, -1, n).transpose(1, 0, 2) \
+        .reshape(-1, N * n)
 
     def values(ws):
-        W = _wedge_vectors(ws)
-        return np.real(phase * np.einsum("sa,ab,sb->s", W, U, W.conj()))
+        W = plucker(ws)
+        return np.real(phase * np.sum((W @ U) * W.conj(), axis=1))
 
     prev = values(ws)
     for _ in range(budget.local_iters):
         for i in range(p):
-            others = np.concatenate([ws[:, :i, :], ws[:, i + 1:, :]], axis=1)
-            if p == 1:
-                V = np.ones((s, 1), dtype=complex)
-            else:
-                V = _wedge_vectors(others)
-            # B[s, K, a] = d(wedge)/d(w_i)_a, up to a global sign that cancels
-            B = np.zeros((s, len(ext_table), n), dtype=complex)
-            for idx, rows in enumerate(ext_table):
-                for slot, sign, a in rows:
-                    B[:, idx, a] = sign * V[:, slot]
-            C = phase * np.einsum("ska,kl,slb->sab", B, U, B.conj())
-            _, z = _min_eig(C)
+            # moving w_i last flips the Plucker vector by a global sign,
+            # which cancels in the quadratic form
+            V = plucker(np.delete(ws, i, axis=1))
+            B = (V @ D).reshape(s, N, n)
+            # C[s, a, b] = sum_{K,L} B[s,K,a] U[K,L] conj(B[s,L,b])
+            C = phase * (np.swapaxes(B, 1, 2) @ U @ B.conj())
+            # the quadratic form in x = w_i equals z^H C z at z = conj(x)
+            _, z = hermitian_min_eig(C)
             ws[:, i, :] = z.conj()
         vals = values(ws)
         if np.max(prev - vals) < 1e-13 * scale:
@@ -162,17 +117,6 @@ def check_positive(u: ExteriorForm, budget: SearchBudget = SearchBudget()) -> Po
     return PositivityVerdict(Status.CERTIFIED, float(np.min(prev)), None,
                              heuristic=True,
                              detail=f"{s} starts, no refutation")
-
-
-def _min_eig(C: np.ndarray):
-    """Minimum of sum C[a,b] x_a conj(x_b) over unit x, batched.
-
-    The quadratic form equals z^H C z at z = conj(x); returns (value, z) so
-    callers conjugate once more to recover x.
-    """
-    H = 0.5 * (C + np.conj(np.swapaxes(C, -1, -2)))
-    w, V = np.linalg.eigh(H)
-    return w[..., 0], V[..., :, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -218,19 +162,17 @@ def gram_witness_form(verdict: PositivityVerdict, n: int, q: int) -> ExteriorFor
 # ---------------------------------------------------------------------------
 # strong positivity: dictionary certificates and the Hermitian dual
 
-def _real_coords(u: ExteriorForm, basis: list) -> np.ndarray:
-    """Real coordinates of a real (p,p)-form: diag entry then (Re, Im) pairs."""
-    p = u.p
-    vec = []
-    for a, I in enumerate(basis):
-        c = u.coeffs.get((I, I), 0.0 + 0.0j)
-        vec.append(c.real if p % 2 == 0 else c.imag)
-    for a, I in enumerate(basis):
-        for J in basis[a + 1:]:
-            c = u.coeffs.get((I, J), 0.0 + 0.0j)
-            vec.append(c.real)
-            vec.append(c.imag)
-    return np.asarray(vec)
+def _real_coords(u: ExteriorForm) -> np.ndarray:
+    """Real coordinates of a real (p,p)-form.
+
+    The diagonal entries (real part for even p, imaginary part for odd p),
+    then (Re, Im) of each entry above the diagonal, row by row.
+    """
+    D = u.array
+    diag = np.diagonal(D)
+    upper = D[np.triu_indices(D.shape[0], 1)]
+    return np.concatenate([diag.real if u.p % 2 == 0 else diag.imag,
+                           np.column_stack([upper.real, upper.imag]).ravel()])
 
 
 def check_strongly_positive(u: ExteriorForm, budget: SearchBudget = SearchBudget(),
@@ -272,8 +214,7 @@ def check_strongly_positive(u: ExteriorForm, budget: SearchBudget = SearchBudget
         return PositivityVerdict(Status.REFUTED, value, witness,
                                  detail="Hermitian-positive dual witness")
 
-    basis = multi_indices(n, p)
-    dim = len(basis) ** 2
+    dim = comb(n, p) ** 2
     rng = np.random.default_rng(np.random.SeedSequence(budget.rng_seed))
     if dictionary is None:
         size = dictionary_size if dictionary_size is not None else 20 * dim
@@ -287,8 +228,8 @@ def check_strongly_positive(u: ExteriorForm, budget: SearchBudget = SearchBudget
     for factors in dictionary:
         alpha = decomposable(factors)
         atoms.append(alpha.wedge(alpha.conjugate()) * phase)
-    target = _real_coords(u, basis)
-    A = np.stack([_real_coords(a, basis) for a in atoms], axis=1)
+    target = _real_coords(u)
+    A = np.stack([_real_coords(a) for a in atoms], axis=1)
     weights, rnorm = scipy.optimize.nnls(A, target, maxiter=10 * A.shape[1])
     rel = rnorm / max(1.0, float(np.linalg.norm(target)))
     if rel <= 1e-8:

@@ -2,7 +2,9 @@
 
 import csv
 import json
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,12 +12,12 @@ import pytest
 from chernweil.batch import (RunConfig, check_form_file, child_seed,
                              curvature_from_json, curvature_to_json,
                              form_from_json, form_to_json, replay_witness,
-                             verify_c2, verify_inequalities,
+                             report_json, verify_c2, verify_inequalities,
                              verify_main_theorem, verify_pushforwards,
                              write_csv, write_report)
 from chernweil.cli import main
 from chernweil.curvature import chern_form, coefficients
-from chernweil.exterior import ExteriorForm
+from chernweil.exterior import ExteriorForm, multi_indices
 from chernweil.generators import dual_nakano_sample
 
 TINY = dict(samples=4, starts=8, iters=40, workers=1)
@@ -303,3 +305,97 @@ def test_cli_errors_exit_two(tmp_path, capsys):
 def test_cli_rejects_unknown_generator():
     with pytest.raises(SystemExit):
         main(["verify-c2", "--generators", "nakano"])
+
+
+# ---------------------------------------------------------------------------
+# documented example, malformed and non-finite input, strict output
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_check_form_example_runs(tmp_path):
+    block = re.search(r"```json\n(.*?)```", README.read_text(), re.S).group(1)
+    doc = tmp_path / "point.json"
+    doc.write_text(block)
+    out = tmp_path / "report.json"
+    assert main(["check-form", str(doc), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["aggregate"]["ok"]
+
+
+def _check_form_doc(tmp_path, form):
+    doc = {"curvature": curvature_to_json(dual_nakano_sample(2, 2, seed=3)),
+           "form": form}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("form, field", [
+    ({"kind": "schur"}, "sigma"),
+    ({"kind": "generalized_schur", "sigma": 3}, "sigma"),
+    ({"kind": "schur", "sigma": [1, "x"]}, "sigma"),
+    ({"kind": "chern", "k": "two"}, "k"),
+    ({"kind": "segre", "k": None}, "k"),
+])
+def test_malformed_form_spec_names_the_field(tmp_path, capsys, form, field):
+    path = _check_form_doc(tmp_path, form)
+    with pytest.raises(ValueError, match=f"'{field}'"):
+        check_form_file(RunConfig("check-form", input_path=str(path)))
+    assert main(["check-form", str(path)]) == 2
+    assert f"'{field}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("literal", ["NaN", "1e999", "-Infinity"])
+def test_curvature_document_rejects_non_finite(tmp_path, literal):
+    doc = curvature_to_json(dual_nakano_sample(2, 2, seed=1))
+    text = json.dumps(doc).replace(
+        json.dumps(doc["theta"][1][0]["entries"][0]["im"]), literal, 1)
+    with pytest.raises(ValueError, match=r"theta\[1\]\[0\] entry 0 is not finite"):
+        curvature_from_json(json.loads(text))
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert main(["check-form", str(path)]) == 2
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 1e999])
+def test_form_json_rejects_non_finite(value):
+    obj = form_to_json(ExteriorForm(2, 1, 1, {((1,), (1,)): 1j, ((2,), (2,)): 2j}))
+    obj["coeffs"][1]["re"] = value
+    with pytest.raises(ValueError, match=r"at \(\(2,\), \(2,\)\) is not finite"):
+        form_from_json(obj)
+
+
+def test_form_json_round_trip_keeps_items():
+    rng = np.random.default_rng(9)
+    for p in range(4):
+        for q in range(4):
+            u = ExteriorForm(3, p, q, {
+                (I, J): complex(rng.standard_normal(), rng.standard_normal())
+                for I in multi_indices(3, p) for J in multi_indices(3, q)
+                if rng.random() < 0.7})
+            obj = form_to_json(u)
+            assert [(tuple(e["I"]), tuple(e["J"])) for e in obj["coeffs"]] == \
+                [key for key, _ in u.items()]
+            back = form_from_json(obj)
+            assert back.items() == u.items()
+            assert np.array_equal(back.array, u.array)
+
+
+@pytest.mark.parametrize("flag", ["--samples", "--starts", "--iters"])
+def test_cli_rejects_non_positive_counts(tmp_path, capsys, flag):
+    out = tmp_path / "report.json"
+    for value in ("0", "-3"):
+        code = main(["verify-main", "--samples", "1", "--workers", "1",
+                     flag, value, "--out", str(out)])
+        assert code == 2
+        assert flag.lstrip("-") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_reports_are_strict_json(tmp_path):
+    report = {"aggregate": {"ok": True}, "value": float("nan")}
+    with pytest.raises(ValueError):
+        report_json(report)
+    with pytest.raises(ValueError):
+        write_report(report, str(tmp_path / "r.json"))
+    assert not (tmp_path / "r.json").exists()

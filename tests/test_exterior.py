@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 from chernweil.exterior import (DimensionMismatch, ExteriorForm, NotReal,
                                 NotTopDegree, decomposable, evaluate_pairing,
                                 hermitian_gram, hermitian_one_one, ipow,
-                                multi_indices, one_form, one_one_matrix,
-                                pullback, restrict, top_coefficient,
-                                volume_coefficient, wedge, wedge_all,
-                                wedge_power)
+                                merge_table, multi_indices, one_form,
+                                one_one_matrix, plucker, pullback, restrict,
+                                top_coefficient, volume_coefficient, wedge,
+                                wedge_all, wedge_power)
 
 RNG = np.random.default_rng(20240811)
 TOL = 1e-12
@@ -354,3 +354,135 @@ def test_pullback_composes_with_evaluation():
     ws = unit_vectors(3, 2, rng=rng)
     direct = evaluate_pairing(u, [M @ w for w in ws])
     assert evaluate_pairing(pb, ws) == pytest.approx(direct, rel=1e-10, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# dense storage: the mapping constructor, the read-back views, the tables
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(5, 6))
+def test_wedge_matches_bubble_sort_oracle_large_n(seed, n):
+    rng = np.random.default_rng(seed)
+    p1, q1 = rng.integers(0, n + 1, size=2)
+    p2, q2 = rng.integers(0, n - p1 + 1), rng.integers(0, n - q1 + 1)
+    u = random_form(n, p1, q1, terms=8, rng=rng)
+    v = random_form(n, p2, q2, terms=8, rng=rng)
+    assert (wedge(u, v) - wedge_oracle(u, v)).max_abs() < TOL
+
+
+@pytest.mark.parametrize("n, left, right", [
+    (5, (2, 0), (1, 3)), (6, (2, 0), (1, 3)), (6, (0, 3), (2, 1)),
+    (6, (3, 1), (2, 2)), (6, (1, 2), (4, 0)), (4, (1, 3), (2, 0)),
+])
+def test_wedge_matches_oracle_on_mixed_bidegrees(n, left, right):
+    rng = np.random.default_rng(sum(left) * 10 + sum(right) + n)
+    u = random_form(n, *left, terms=30, rng=rng)
+    v = random_form(n, *right, terms=30, rng=rng)
+    got = wedge(u, v)
+    assert got.bidegree == (left[0] + right[0], left[1] + right[1])
+    assert (got - wedge_oracle(u, v)).max_abs() < TOL
+
+
+def test_wedge_overflow_of_nonzero_forms_is_annihilated_zero():
+    rng = np.random.default_rng(3)
+    u = random_form(3, 2, 2, terms=6, rng=rng)
+    v = random_form(3, 2, 1, terms=6, rng=rng)
+    out = wedge(u, v)
+    assert out.annihilated and out.is_zero()
+    assert out.bidegree == (3, 3)
+    assert not wedge(u, random_form(3, 1, 1, rng=rng)).annihilated
+
+
+@pytest.mark.parametrize("key", [
+    ((1, 2), (1,)),   # wrong length
+    ((0,), (1,)),     # out of range
+    ((4,), (1,)),
+    ((1,), (3, 2)),   # wrong length for q = 1
+])
+def test_mapping_constructor_rejects_bad_multi_indices(key):
+    with pytest.raises(ValueError, match="multi-index"):
+        ExteriorForm(3, 1, 1, {key: 1.0})
+
+
+def test_mapping_constructor_rejects_unsorted_multi_indices():
+    with pytest.raises(ValueError, match="not strictly increasing"):
+        ExteriorForm(3, 2, 0, {((2, 1), ()): 1.0})
+    with pytest.raises(ValueError, match="not strictly increasing"):
+        ExteriorForm(3, 2, 0, {((2, 2), ()): 1.0})
+
+
+def test_mapping_constructor_sums_duplicate_keys():
+    # two keys that normalise to the same multi-index pair
+    u = ExteriorForm(3, 1, 1, {((1,), (2,)): 1.0, (("1",), ("2",)): 2.5j})
+    assert u.get((1,), (2,)) == 1.0 + 2.5j
+    assert len(u.coeffs) == 1
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 1e999,
+                                   complex(0.0, float("-inf"))])
+def test_mapping_constructor_rejects_non_finite(value):
+    with pytest.raises(ValueError, match="not finite"):
+        ExteriorForm(2, 1, 1, {((1,), (1,)): 1.0, ((2,), (1,)): value})
+
+
+def test_items_are_sorted_nonzero_entries():
+    rng = np.random.default_rng(11)
+    for p, q in [(0, 0), (1, 2), (2, 1), (2, 2), (3, 0)]:
+        u = random_form(4, p, q, terms=10, rng=rng)
+        keys = [k for k, _ in u.items()]
+        assert keys == sorted(keys)
+        assert all(c != 0 for _, c in u.items())
+        want = [(I, J) for I in multi_indices(4, p) for J in multi_indices(4, q)
+                if u.get(I, J) != 0]
+        assert keys == want
+
+
+def test_coeffs_is_a_read_only_view_of_the_nonzero_entries():
+    rng = np.random.default_rng(12)
+    u = random_form(5, 2, 2, terms=7, rng=rng)
+    assert len(u.coeffs) == np.count_nonzero(u.array) == len(u.items())
+    assert dict(u.coeffs) == dict(u.items())
+    with pytest.raises(TypeError):
+        u.coeffs[((1, 2), (1, 2))] = 1.0
+    assert len(ExteriorForm.zero(5, 2, 2).coeffs) == 0
+
+
+def test_array_layout_follows_multi_indices():
+    u = ExteriorForm(4, 2, 1, {((2, 4), (3,)): 5.0})
+    assert u.array.shape == (6, 4)
+    assert u.array[multi_indices(4, 2).index((2, 4)), 2] == 5.0
+    assert np.count_nonzero(u.array) == 1
+
+
+def test_merge_tables_are_cached_and_read_only():
+    H = merge_table(5, 2, 1)
+    assert merge_table(5, 2, 1) is H
+    assert H.shape == (10, 10 * 5)
+    assert not H.flags.writeable
+    # every column is either one signed unit or empty
+    assert set(np.abs(H).sum(axis=0)) <= {0.0, 1.0}
+
+
+@pytest.mark.parametrize("n, p", [(3, 1), (4, 2), (5, 3), (6, 2)])
+def test_plucker_matches_decomposable_and_minors(n, p):
+    rng = np.random.default_rng(n * 10 + p)
+    W = rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))
+    got = plucker(W[None])[0]
+    alpha = decomposable([list(w) for w in W])
+    for a, I in enumerate(multi_indices(n, p)):
+        minor = np.linalg.det(W[:, [i - 1 for i in I]])
+        assert got[a] == pytest.approx(minor, abs=1e-12)
+        assert got[a] == pytest.approx(alpha.get(I, ()), abs=1e-12)
+
+
+def test_pullback_of_low_degree_forms():
+    # degree 0 keeps the scalar; a (1,0)-form pulls back to its components
+    assert pullback(ExteriorForm.scalar(3, 2.0), [[1, 0, 0]]).get((), ()) == 2.0
+    assert restrict(ExteriorForm.scalar(2, 3.0), []) == pytest.approx(3.0)
+    u = one_form([1, 2j, 3])
+    pb = pullback(u, [[0, 1, 0], [1, 1, 1]])
+    assert pb.bidegree == (1, 0)
+    assert pb.get((1,), ()) == pytest.approx(2j)
+    assert pb.get((2,), ()) == pytest.approx(4 + 2j)
+    over = pullback(ExteriorForm.basis(3, (1, 2), (1,)), [[1, 0, 0]])
+    assert over.annihilated and over.is_zero() and over.bidegree == (1, 1)
