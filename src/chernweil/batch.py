@@ -31,7 +31,7 @@ from .positivity import (Status, check_hermitian_positive, check_positive,
 from .schur import (FlagType, complete_flag_oracle, dp_pushforward,
                     enumerate_partitions, expand_in_roots, jacobi_trudi_check,
                     projective_oracle, segre_to_chern)
-from .polynomial import SymPoly, divide_exact
+from .polynomial import SymPoly, _compositions, divide_exact
 
 SCHEMA_VERSION = 1
 WORKERS_ENV = "CHERNWEIL_WORKERS"
@@ -442,7 +442,7 @@ def verify_pushforwards(cfg: RunConfig) -> dict:
         flag = FlagType.complete(r)
         d = flag.relative_dimension
         for k in range(cfg.max_excess + 1):
-            for lam in _monomials(r, d + k):
+            for lam in _compositions(d + k, r):
                 p = SymPoly.monomial(lam)
                 left = expand_in_roots(dp_pushforward(p, flag), r, "s")
                 right = complete_flag_oracle(p, r)
@@ -490,7 +490,7 @@ def verify_pushforwards(cfg: RunConfig) -> dict:
     # the line bundle step; must match the one-shot complete-flag rule
     tower_ok = True
     for deg in range(cfg.jt_weight + 1):
-        for lam in _monomials(3, deg):
+        for lam in _compositions(deg, 3):
             direct = dp_pushforward(SymPoly.monomial(lam), FlagType.complete(3))
             mid = _front_block_pushforward(SymPoly.monomial(lam))
             composed = dp_pushforward(mid, FlagType((0, 1, 3)))
@@ -511,15 +511,6 @@ def schur_in_chern_target() -> SymPoly:
 def _c1c22_rank2() -> SymPoly:
     c1, c2 = (SymPoly.variable(i, 2) for i in range(2))
     return c1 * c2 * c2
-
-
-def _monomials(nvars: int, degree: int):
-    if nvars == 1:
-        yield (degree,)
-        return
-    for first in range(degree + 1):
-        for rest in _monomials(nvars - 1, degree - first):
-            yield (first,) + rest
 
 
 def _front_block_pushforward(p: SymPoly) -> SymPoly:

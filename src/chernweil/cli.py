@@ -97,7 +97,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         kinds = tuple(k.strip() for k in args.generators.split(",") if k.strip())
         for k in kinds:
             if k not in GeneratorSpec.KINDS:
-                raise SystemExit(f"unknown generator kind {k!r}; "
+                raise ValueError(f"unknown generator kind {k!r}; "
                                  f"choose from {', '.join(GeneratorSpec.KINDS)}")
         fields["generators"] = kinds
     if hasattr(args, "input"):

@@ -25,6 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .exterior import ExteriorForm, wedge_all
+from .polynomial import permutation_sign
 
 TWO_PI = 2.0 * math.pi
 
@@ -123,12 +124,7 @@ def _wedge_det_leibniz(mat: list[list[ExteriorForm]], n: int) -> ExteriorForm:
         return ExteriorForm.scalar(n, 1.0)
     out = None
     for perm in itertools.permutations(range(k)):
-        sign = 1
-        for i in range(k):
-            for j in range(i + 1, k):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        term = wedge_all(mat[i][perm[i]] for i in range(k)) * sign
+        term = wedge_all(mat[i][perm[i]] for i in range(k)) * permutation_sign(perm)
         out = term if out is None else out + term
     return out
 
@@ -258,13 +254,8 @@ def _det_mixed(mat, n: int, weight: int) -> ExteriorForm:
         entries = [mat[i][perm[i]] for i in range(k)]
         if any(e is None for e in entries):
             continue
-        sign = 1
-        for i in range(k):
-            for j in range(i + 1, k):
-                if perm[i] > perm[j]:
-                    sign = -sign
         term = wedge_all(entries)
-        out = out + term if sign > 0 else out - term
+        out = out + term if permutation_sign(perm) > 0 else out - term
     return out
 
 

@@ -390,7 +390,7 @@ def one_form(components: Sequence[complex]) -> ExteriorForm:
 
 def decomposable(factors: Sequence[Sequence[complex]]) -> ExteriorForm:
     """Wedge of (1,0)-forms given by their component vectors."""
-    if not factors:
+    if len(factors) == 0:
         raise ValueError("need at least one factor")
     return wedge_all(one_form(f) for f in factors)
 

@@ -3,10 +3,20 @@
 Sparse representation: ``terms`` maps exponent tuples (one slot per
 variable) to nonzero Python ints.  No floats anywhere; this module is the
 arithmetic bedrock for the symbolic Schur calculus and must stay exact.
+
+Validation happens at the boundary.  The mapping constructor
+``SymPoly(nvars, {e: c})`` checks every coefficient and exponent with
+``operator.index``, rejects exponent tuples of the wrong length or with a
+negative entry, sums duplicate keys and drops zeros.  Results computed here
+(arithmetic, padding, substitution, permutation, the basis polynomials) are
+built from terms that already passed those checks and go through the
+unchecked ``SymPoly._raw`` instead; every such result still holds only
+nonzero ints under exponent tuples of length ``nvars``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from typing import Mapping, Sequence
@@ -35,15 +45,28 @@ class SymPoly:
                 data[e] = data.get(e, 0) + c
         self.terms = {e: c for e, c in data.items() if c}
 
+    @classmethod
+    def _raw(cls, nvars: int, terms: dict[tuple[int, ...], int]) -> "SymPoly":
+        """Wrap ``terms`` unchecked; the result owns the dict.
+
+        The caller guarantees nonzero int coefficients and exponent tuples
+        of length ``nvars`` with nonnegative int entries.
+        """
+        p = object.__new__(cls)
+        p.nvars = nvars
+        p.terms = terms
+        return p
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, nvars: int) -> "SymPoly":
-        return cls(nvars)
+        return cls._raw(int(nvars), {})
 
     @classmethod
     def const(cls, nvars: int, c: int) -> "SymPoly":
-        return cls(nvars, {(0,) * nvars: c})
+        nvars, c = int(nvars), operator.index(c)
+        return cls._raw(nvars, {(0,) * nvars: c} if c else {})
 
     @classmethod
     def one(cls, nvars: int) -> "SymPoly":
@@ -56,7 +79,7 @@ class SymPoly:
             raise ValueError(f"variable slot {i} out of range for {nvars} variables")
         e = [0] * nvars
         e[i] = 1
-        return cls(nvars, {tuple(e): 1})
+        return cls._raw(nvars, {tuple(e): 1})
 
     @classmethod
     def monomial(cls, exps: Sequence[int], coeff: int = 1) -> "SymPoly":
@@ -78,7 +101,7 @@ class SymPoly:
         if nvars == self.nvars:
             return self
         tail = (0,) * (nvars - self.nvars)
-        return SymPoly(nvars, {e + tail: c for e, c in self.terms.items()})
+        return SymPoly._raw(nvars, {e + tail: c for e, c in self.terms.items()})
 
     @staticmethod
     def _aligned(a: "SymPoly", b: "SymPoly"):
@@ -94,18 +117,13 @@ class SymPoly:
             return NotImplemented
         a, b = SymPoly._aligned(self, other)
         out = dict(a.terms)
-        for e, c in b.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return SymPoly(a.nvars, out)
+        _add_into(out, b.terms)
+        return SymPoly._raw(a.nvars, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "SymPoly":
-        return SymPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return SymPoly._raw(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "SymPoly":
         if isinstance(other, int):
@@ -119,20 +137,18 @@ class SymPoly:
 
     def __mul__(self, other) -> "SymPoly":
         if isinstance(other, int):
-            return SymPoly(self.nvars, {e: other * c for e, c in self.terms.items()})
+            return SymPoly._raw(self.nvars, {e: other * c for e, c in self.terms.items()}
+                                if other else {})
         if not isinstance(other, SymPoly):
             return NotImplemented
         a, b = SymPoly._aligned(self, other)
         out: dict[tuple[int, ...], int] = {}
+        add = operator.add
         for e1, c1 in a.terms.items():
             for e2, c2 in b.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return SymPoly(a.nvars, out)
+                e = tuple(map(add, e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
+        return SymPoly._raw(a.nvars, {e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -167,10 +183,12 @@ class SymPoly:
             raise ValueError(f"need {self.nvars} replacement polynomials")
         if not values:
             # constant polynomial in the empty alphabet
-            return SymPoly(0, dict(self.terms))
+            return SymPoly._raw(0, dict(self.terms))
         m = max(v.nvars for v in values)
+        if not self.terms:
+            return SymPoly.zero(m)
         values = [v.pad(m) for v in values]
-        powers: list[dict[int, SymPoly]] = [{0: SymPoly.one(m)} for _ in values]
+        powers: list[dict[int, SymPoly]] = [{1: v} for v in values]
 
         def power(i: int, k: int) -> SymPoly:
             cache = powers[i]
@@ -178,26 +196,22 @@ class SymPoly:
                 cache[k] = power(i, k - 1) * values[i]
             return cache[k]
 
-        out = SymPoly.zero(m)
+        out: dict[tuple[int, ...], int] = {}
         for e, c in self.terms.items():
-            term = SymPoly.const(m, c)
-            for i, k in enumerate(e):
-                if k:
-                    term = term * power(i, k)
-            out = out + term
-        return out
+            factors = [power(i, k) for i, k in enumerate(e) if k] or [SymPoly.one(m)]
+            _add_into(out, functools.reduce(operator.mul, factors).terms, c)
+        return SymPoly._raw(m, out)
 
     def permute_variables(self, perm: Sequence[int]) -> "SymPoly":
         """Apply x_i -> x_{perm[i]} (0-based slots)."""
         if sorted(perm) != list(range(self.nvars)):
             raise ValueError("not a permutation of the variable slots")
-        out: dict[tuple[int, ...], int] = {}
-        for e, c in self.terms.items():
-            ne = [0] * self.nvars
-            for i, k in enumerate(e):
-                ne[perm[i]] = k
-            out[tuple(ne)] = out.get(tuple(ne), 0) + c
-        return SymPoly(self.nvars, out)
+        inverse = [0] * self.nvars
+        for i, j in enumerate(perm):
+            inverse[j] = i
+        # a permutation of the slots maps distinct exponents to distinct ones
+        return SymPoly._raw(self.nvars, {tuple([e[i] for i in inverse]): c
+                                         for e, c in self.terms.items()})
 
     # -- display -----------------------------------------------------------
 
@@ -220,16 +234,22 @@ class SymPoly:
         return f"SymPoly({self.pretty()})"
 
 
-def antisymmetrize(p: SymPoly) -> SymPoly:
-    """sum over permutations w of sign(w) * w(p), over all variable slots."""
-    out = SymPoly.zero(p.nvars)
-    for perm in itertools.permutations(range(p.nvars)):
-        sign = _parity(perm)
-        out = out + sign * p.permute_variables(perm)
-    return out
+def _add_into(out: dict[tuple[int, ...], int], terms: Mapping[tuple[int, ...], int],
+              scale: int = 1) -> None:
+    """out += scale * terms in place, dropping coefficients that cancel.
+
+    Both sides use one alphabet; ``scale`` is a nonzero int.
+    """
+    for e, c in terms.items():
+        s = out.get(e, 0) + scale * c
+        if s:
+            out[e] = s
+        else:
+            del out[e]
 
 
-def _parity(perm: Sequence[int]) -> int:
+def permutation_sign(perm: Sequence[int]) -> int:
+    """Sign of a permutation of 0..len(perm)-1, from its cycle lengths."""
     seen = [False] * len(perm)
     sign = 1
     for i in range(len(perm)):
@@ -246,6 +266,23 @@ def _parity(perm: Sequence[int]) -> int:
     return sign
 
 
+@functools.lru_cache(maxsize=None)
+def signed_permutations(k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Every permutation of 0..k-1 with its sign, in lexicographic order."""
+    return tuple((w, permutation_sign(w)) for w in itertools.permutations(range(k)))
+
+
+def antisymmetrize(p: SymPoly) -> SymPoly:
+    """sum over permutations w of sign(w) * w(p), over all variable slots."""
+    out: dict[tuple[int, ...], int] = {}
+    for w, sign in signed_permutations(p.nvars):
+        # reading the exponents through w applies w^-1 to the slots, and
+        # w^-1 runs over the same permutations with the same signs
+        _add_into(out, {tuple([e[i] for i in w]): c for e, c in p.terms.items()}, sign)
+    return SymPoly._raw(p.nvars, out)
+
+
+@functools.lru_cache(maxsize=None)
 def vandermonde(nvars: int) -> SymPoly:
     """prod_{i<j} (x_i - x_j)."""
     out = SymPoly.one(nvars)
@@ -268,46 +305,47 @@ def divide_exact(num: SymPoly, den: SymPoly) -> SymPoly:
         raise ZeroDivisionError("division by the zero polynomial")
     lt_den = max(den.terms)
     cd = den.terms[lt_den]
-    quotient = SymPoly.zero(num.nvars)
-    rem = num
-    while not rem.is_zero():
-        lt = max(rem.terms)
-        diff = tuple(a - b for a, b in zip(lt, lt_den))
+    quotient: dict[tuple[int, ...], int] = {}
+    rem = dict(num.terms)
+    add, sub = operator.add, operator.sub
+    while rem:
+        lt = max(rem)
+        diff = tuple(map(sub, lt, lt_den))
         if any(d < 0 for d in diff):
             raise ExactDivisionError(f"leading term {lt} not divisible by {lt_den}")
-        c = rem.terms[lt]
+        c = rem[lt]
         if c % cd:
             raise ExactDivisionError(f"coefficient {c} not divisible by {cd}")
-        qt = SymPoly.monomial(diff, c // cd)
-        quotient = quotient + qt
-        rem = rem - qt * den
-    return quotient
+        q = c // cd
+        # leading terms strictly decrease, so every quotient term is new
+        quotient[diff] = q
+        _add_into(rem, {tuple(map(add, diff, e)): cden for e, cden in den.terms.items()},
+                  -q)
+    return SymPoly._raw(num.nvars, quotient)
 
 
+@functools.lru_cache(maxsize=None)
 def elementary_symmetric(k: int, nvars: int) -> SymPoly:
-    """e_k(x_1..x_nvars)."""
-    if k < 0 or k > nvars:
-        return SymPoly.zero(nvars)
-    out = SymPoly.zero(nvars)
-    for combo in itertools.combinations(range(nvars), k):
-        e = [0] * nvars
-        for i in combo:
-            e[i] = 1
-        out = out + SymPoly.monomial(tuple(e))
-    return out
+    """e_k(x_1..x_nvars), one term per k-subset of the slots."""
+    terms: dict[tuple[int, ...], int] = {}
+    if 0 <= k <= nvars:
+        for combo in itertools.combinations(range(nvars), k):
+            e = [0] * nvars
+            for i in combo:
+                e[i] = 1
+            terms[tuple(e)] = 1
+    return SymPoly._raw(int(nvars), terms)
 
 
+@functools.lru_cache(maxsize=None)
 def complete_homogeneous(k: int, nvars: int) -> SymPoly:
     """h_k(x_1..x_nvars), all monomials of degree k."""
-    if k < 0:
-        return SymPoly.zero(nvars)
-    out = SymPoly.zero(nvars)
-    for e in _compositions(k, nvars):
-        out = out + SymPoly.monomial(e)
-    return out
+    terms = dict.fromkeys(_compositions(k, nvars), 1) if k >= 0 else {}
+    return SymPoly._raw(int(nvars), terms)
 
 
 def _compositions(k: int, slots: int):
+    """Exponent tuples of length ``slots`` summing to k, first slot ascending."""
     if slots == 0:
         if k == 0:
             yield ()

@@ -20,14 +20,15 @@ Vandermonde determinant.
 
 from __future__ import annotations
 
-import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Sequence
 
-from .polynomial import (SymPoly, antisymmetrize, complete_homogeneous,
-                         divide_exact, elementary_symmetric, vandermonde)
+from .polynomial import (SymPoly, _add_into, antisymmetrize, complete_homogeneous,
+                         divide_exact, elementary_symmetric, signed_permutations,
+                         vandermonde)
 
 
 # ---------------------------------------------------------------------------
@@ -97,32 +98,16 @@ def schur_in_chern(sigma: Sequence[int], r: int) -> SymPoly:
 
 
 def _det(mat: list[list[SymPoly]], nvars: int) -> SymPoly:
+    """Leibniz determinant; every entry lives in the nvars alphabet."""
     k = len(mat)
     if k == 0:
         return SymPoly.one(nvars)
-    out = SymPoly.zero(nvars)
-    for perm in itertools.permutations(range(k)):
-        term = SymPoly.one(nvars)
-        zero = False
-        for i in range(k):
-            f = mat[i][perm[i]]
-            if f.is_zero():
-                zero = True
-                break
-            term = term * f
-        if zero:
-            continue
-        out = out + _perm_sign(perm) * term
-    return out
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
+    out: dict[tuple[int, ...], int] = {}
+    for perm, sign in signed_permutations(k):
+        factors = [row[j] for row, j in zip(mat, perm)]
+        if all(f.terms for f in factors):
+            _add_into(out, reduce(operator.mul, factors).terms, sign)
+    return SymPoly._raw(nvars, out)
 
 
 @lru_cache(maxsize=None)

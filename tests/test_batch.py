@@ -302,9 +302,9 @@ def test_cli_errors_exit_two(tmp_path, capsys):
                  "--workers", "1"]) == 2
 
 
-def test_cli_rejects_unknown_generator():
-    with pytest.raises(SystemExit):
-        main(["verify-c2", "--generators", "nakano"])
+def test_cli_rejects_unknown_generator(capsys):
+    assert main(["verify-c2", "--generators", "nakano"]) == 2
+    assert "'nakano'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -211,6 +211,16 @@ def test_decomposable_examples():
     assert len(list(v.items())) == 1
 
 
+def test_decomposable_accepts_an_array_of_factors():
+    rng = np.random.default_rng(11)
+    W = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
+    u = decomposable(W)
+    assert u.bidegree == (3, 0)
+    assert np.array_equal(u.array, decomposable([list(w) for w in W]).array)
+    with pytest.raises(ValueError):
+        decomposable(np.zeros((0, 5)))
+
+
 # ---------------------------------------------------------------------------
 # volume normalization and pairings
 

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from chernweil.polynomial import (ExactDivisionError, SymPoly, antisymmetrize,
                                   complete_homogeneous, divide_exact,
-                                  elementary_symmetric, vandermonde)
+                                  elementary_symmetric, permutation_sign,
+                                  signed_permutations, vandermonde)
 
 
 def poly_from_terms(nvars, terms):
@@ -146,3 +147,57 @@ def test_pretty_print():
     s = (x * x - 2 * y).pretty(["x", "y"])
     assert "x^2" in s and "2*y" in s
     assert SymPoly.zero(2).pretty() == "0"
+
+
+def test_permutation_sign_matches_inversion_count():
+    for k in range(6):
+        perms = list(itertools.permutations(range(k)))
+        for perm in perms:
+            inversions = sum(perm[i] > perm[j]
+                             for i, j in itertools.combinations(range(k), 2))
+            assert permutation_sign(perm) == (-1) ** inversions
+        assert signed_permutations(k) == tuple((w, permutation_sign(w)) for w in perms)
+
+
+# ---------------------------------------------------------------------------
+# internal results skip the mapping constructor's checks
+
+def reread(p):
+    """p read back through the checked mapping constructor."""
+    assert all(type(c) is int and c != 0 for c in p.terms.values())
+    assert all(len(e) == p.nvars and all(type(x) is int and x >= 0 for x in e)
+               for e in p.terms)
+    return SymPoly(p.nvars, p.terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_poly, small_poly, st.integers(0, 3), st.permutations(range(3)))
+def test_unchecked_results_equal_their_checked_reading(a, b, k, perm):
+    before = (dict(a.terms), dict(b.terms))
+    one = SymPoly.one(3)
+    results = [a + b, a - b, a * b, a ** k, -a, 3 * a, 0 * a, a + 2, 2 - a,
+               a.pad(5), a.permute_variables(perm), antisymmetrize(a),
+               a.substitute([b, b * b, one]), a.substitute([one, a, SymPoly.zero(3)]),
+               SymPoly.zero(3).substitute([a, b, one])]
+    if not b.is_zero():
+        quotient = divide_exact(a * b, b)
+        assert quotient == a
+        results.append(quotient)
+    for p in results:
+        checked = reread(p)
+        assert (checked.nvars, checked.terms) == (p.nvars, p.terms)
+    assert (a.terms, b.terms) == before
+
+
+def test_cached_basis_polynomials_survive_arithmetic():
+    h, e, v = complete_homogeneous(3, 3), elementary_symmetric(2, 3), vandermonde(3)
+    before = [dict(q.terms) for q in (h, e, v)]
+    x = SymPoly.variable(0, 3)
+    for q in (h, e, v):
+        _ = [q + x, x + q, q - q, -q, 2 * q, q * x, q ** 2, q.pad(4),
+             q.permute_variables([2, 0, 1]), antisymmetrize(q),
+             q.substitute([x, x, x]), divide_exact(q * x, x)]
+    _ = [SymPoly.monomial((2, 1)).substitute([h, e]), divide_exact(v * h, v)]
+    assert complete_homogeneous(3, 3) is h and elementary_symmetric(2, 3) is e
+    assert vandermonde(3) is v
+    assert [q.terms for q in (h, e, v)] == before

@@ -256,6 +256,19 @@ def test_oracle_equivalence_sweep_small():
                 assert left == complete_flag_oracle(p, r)
 
 
+def test_oracle_equivalence_rank5_spot_check():
+    # the CLI reaches rank 5 only with --rank 5; cover that path here on a
+    # handful of monomials of excess 0 and 1
+    r = 5
+    flag = FlagType.complete(r)
+    assert complete_flag_oracle(SymPoly.monomial((4, 3, 2, 1, 0)), r) == 1
+    for lam in [(4, 3, 2, 1, 0), (0, 1, 2, 3, 4), (10, 0, 0, 0, 0), (2, 2, 2, 2, 2),
+                (5, 3, 2, 1, 0), (3, 3, 3, 1, 1), (0, 2, 0, 4, 5), (0, 0, 0, 0, 11)]:
+        p = SymPoly.monomial(lam)
+        left = expand_in_roots(dp_pushforward(p, flag), r, "s")
+        assert left == complete_flag_oracle(p, r)
+
+
 def test_expand_in_roots_frozen():
     r = 3
     h1 = SymPoly.monomial((1, 0, 0)) + SymPoly.monomial((0, 1, 0)) + \
