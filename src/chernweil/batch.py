@@ -124,7 +124,7 @@ def curvature_from_json(obj: dict) -> CurvaturePoint:
         raise ValueError(f"unsupported schema_version {version!r}")
     try:
         n, r = int(obj["n"]), int(obj["r"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"missing or malformed n/r field: {exc}") from exc
     theta = obj.get("theta")
     if not isinstance(theta, list) or len(theta) != r or \
@@ -136,14 +136,14 @@ def curvature_from_json(obj: dict) -> CurvaturePoint:
         for b in range(r):
             cell = theta[a][b]
             entries = cell.get("entries") if isinstance(cell, dict) else None
-            if entries is None:
+            if not isinstance(entries, list):
                 raise ValueError(f"theta[{a}][{b}] lacks an 'entries' list")
             coeffs = {}
             for t, e in enumerate(entries):
                 try:
                     j, k = int(e["j"]), int(e["k"])
                     v = complex(float(e["re"]), float(e["im"]))
-                except (KeyError, TypeError, ValueError) as exc:
+                except (KeyError, TypeError, ValueError, OverflowError) as exc:
                     raise ValueError(
                         f"theta[{a}][{b}] entry {t} malformed: {exc}") from exc
                 if not cmath.isfinite(v):
@@ -536,7 +536,7 @@ def _form_field(spec: dict, name: str, parse, default=None):
         return parse(spec[name])
     except KeyError:
         raise ValueError(f"form spec lacks the field {name!r}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"form field {name!r} is malformed: {exc}") from exc
 
 
@@ -544,6 +544,9 @@ def _int_list(value) -> tuple[int, ...]:
     if not isinstance(value, list):
         raise TypeError(f"expected a list of integers, got {value!r}")
     return tuple(int(x) for x in value)
+
+
+CHECKS = ("positive", "hermitian_positive", "strongly_positive")
 
 
 def check_form_file(cfg: RunConfig) -> dict:
@@ -574,6 +577,9 @@ def check_form_file(cfg: RunConfig) -> dict:
     record = {"form_kind": kind, "form": form_to_json(form)}
     budget = cfg.budget(cfg.seed)
     checks = doc.get("checks", ["positive"])
+    if not isinstance(checks, list) or any(c not in CHECKS for c in checks):
+        raise ValueError(f"checks must be a list drawn from {', '.join(CHECKS)}, "
+                         f"got {checks!r}")
     ok = True
     if form.p == form.q:
         if "positive" in checks:

@@ -509,6 +509,21 @@ def restrict(u: ExteriorForm, vectors: Sequence[Sequence[complex]],
     return volume_coefficient(pullback(u, vectors), tol)
 
 
+@functools.lru_cache(maxsize=None)
+def _complement_signs(n: int, q: int):
+    """For each q-index I: the position of its complement among the
+    (n-q)-indices, and the shuffle sign of the complement followed by I."""
+    full = set(range(1, n + 1))
+    rows = _positions(n, n - q)
+    comp = [tuple(sorted(full.difference(I))) for I in _basis(n, q)]
+    idx = np.array([rows[K] for K in comp], dtype=int)
+    sign = np.array([_merge(K, I)[0] for K, I in zip(comp, _basis(n, q))],
+                    dtype=float)
+    for arr in (idx, sign):
+        arr.setflags(write=False)
+    return idx, sign
+
+
 def hermitian_gram(u: ExteriorForm, tol: float | None = None):
     """Gram matrix of real (p,p) u against decomposable (q,0) basis forms.
 
@@ -517,6 +532,13 @@ def hermitian_gram(u: ExteriorForm, tol: float | None = None):
     ``(G, basis)`` where G is a Hermitian numpy array over the length-q
     multi-indices in ``basis``.  Positive semidefiniteness of G is the
     Hermitian positivity test for u.
+
+    Only the coefficient of u at the complements (I^c, J^c) survives the
+    wedge, so G is a signed permutation of u's array:
+    G[I, J] = i**(-p*p) s(I^c, I) s(J^c, J) u[I^c, J^c], with s the shuffle
+    sign of the complement followed by the index.  The phase collects
+    i**(q*q) from the definition, i**(-n*n) from the volume form and
+    (-1)**(p*q) from moving e_I past u's antiholomorphic block.
     """
     if u.p != u.q:
         raise ValueError(f"bidegree {u.bidegree} is not of the form (p,p)")
@@ -525,15 +547,9 @@ def hermitian_gram(u: ExteriorForm, tol: float | None = None):
     n = u.n
     q = n - u.p
     basis = multi_indices(n, q)
-    iq = ipow(q * q)
     N = len(basis)
-    G = np.zeros((N, N), dtype=complex)
-    for a, I in enumerate(basis):
-        beta_I = ExteriorForm.basis(n, I, ())
-        left = u.wedge(beta_I) * iq
-        for b, J in enumerate(basis):
-            eta_J = ExteriorForm.basis(n, J, ()).conjugate()
-            G[a, b] = top_coefficient(left.wedge(eta_J))
+    idx, sign = _complement_signs(n, q)
+    G = ipow(-u.p * u.p) * (sign[:, None] * u.array[np.ix_(idx, idx)] * sign)
     herm_defect = float(np.max(np.abs(G - G.conj().T))) if N else 0.0
     limit = max(u._tol(tol), 1e-12)
     if herm_defect > limit * max(1.0, float(np.max(np.abs(G))) if N else 1.0):

@@ -9,9 +9,12 @@ Three nested cones, ordered strongly <= Hermitian <= weakly positive:
 * Hermitian positivity: the Gram matrix against decomposable (q,0) basis
   forms is positive semidefinite.  Exact up to floating point.
 * strong positivity: membership in the cone generated by decomposable
-  squares.  Certified by a nonnegative-least-squares fit against a sampled
-  dictionary of squares; refuted through the Hermitian dual (any negative
-  Gram eigenvalue produces a dual witness), otherwise Unknown.
+  squares.  Certified by a nonnegative-least-squares fit against a
+  dictionary of squares i^{p^2} alpha ^ conj(alpha), alpha = w_1 ^ ... ^ w_p,
+  drawn as one stack of random unit covectors and turned into the NNLS
+  matrix in one pass through the Plucker coordinates of alpha; refuted
+  through the Hermitian dual (any negative Gram eigenvalue produces a dual
+  witness), otherwise Unknown.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from math import comb
 from typing import Sequence
 
 import numpy as np
-import scipy.optimize
 
 from .curvature import SearchBudget, hermitian_min_eig
 from .exterior import (ExteriorForm, NotReal, decomposable, evaluate_pairing,
@@ -162,17 +164,43 @@ def gram_witness_form(verdict: PositivityVerdict, n: int, q: int) -> ExteriorFor
 # ---------------------------------------------------------------------------
 # strong positivity: dictionary certificates and the Hermitian dual
 
-def _real_coords(u: ExteriorForm) -> np.ndarray:
-    """Real coordinates of a real (p,p)-form.
+def _real_coords(D: np.ndarray, p: int) -> np.ndarray:
+    """Real coordinates of real (p,p)-forms from their coefficient arrays.
 
-    The diagonal entries (real part for even p, imaginary part for odd p),
-    then (Re, Im) of each entry above the diagonal, row by row.
+    ``D`` is one (N, N) array or a stack (..., N, N).  The diagonal entries
+    (real part for even p, imaginary part for odd p), then (Re, Im) of each
+    entry above the diagonal, row by row.
     """
-    D = u.array
-    diag = np.diagonal(D)
-    upper = D[np.triu_indices(D.shape[0], 1)]
-    return np.concatenate([diag.real if u.p % 2 == 0 else diag.imag,
-                           np.column_stack([upper.real, upper.imag]).ravel()])
+    diag = np.diagonal(D, axis1=-2, axis2=-1)
+    upper = D[(..., *np.triu_indices(D.shape[-1], 1))]
+    pairs = np.stack([upper.real, upper.imag], axis=-1)
+    return np.concatenate([diag.real if p % 2 == 0 else diag.imag,
+                           pairs.reshape(*upper.shape[:-1], -1)], axis=-1)
+
+
+def _random_factors(rng: np.random.Generator, size: int, p: int, n: int) -> np.ndarray:
+    """``size`` tuples of p random unit covectors on C^n, shape (size, p, n).
+
+    Each tuple reads a real (p, n) block and then an imaginary one from the
+    stream.
+    """
+    z = rng.standard_normal((size, 2, p, n))
+    ws = z[:, 0] + 1j * z[:, 1]
+    ws /= np.linalg.norm(ws, axis=2, keepdims=True)
+    return ws
+
+
+def _square_coords(ws: np.ndarray) -> np.ndarray:
+    """NNLS matrix of the squares i^{p^2} alpha ^ conj(alpha), one column each.
+
+    alpha is w_1 ^ ... ^ w_p for the tuple ws[k]; with W its Plucker vector
+    the square has coefficient i^{p^2} W[I] conj(W[J]) at (I, J), because the
+    (p,0) ^ (0,p) wedge needs no shuffle.
+    """
+    p = ws.shape[1]
+    W = plucker(ws)
+    squares = ipow(p * p) * (W[:, :, None] * W[:, None, :].conj())
+    return _real_coords(squares, p).T
 
 
 def check_strongly_positive(u: ExteriorForm, budget: SearchBudget = SearchBudget(),
@@ -185,6 +213,9 @@ def check_strongly_positive(u: ExteriorForm, budget: SearchBudget = SearchBudget
     Hermitian Gram matrix has a negative eigenvalue (its eigenvector gives a
     Hermitian-positive dual form pairing negatively with u).  Otherwise
     Unknown: u sits outside the sampled cone but no dual witness was found.
+
+    ``dictionary`` replaces the random one: k tuples of p covectors in C^n,
+    shape (k, p, n).
     """
     p = u.p
     if u.q != p:
@@ -214,28 +245,28 @@ def check_strongly_positive(u: ExteriorForm, budget: SearchBudget = SearchBudget
         return PositivityVerdict(Status.REFUTED, value, witness,
                                  detail="Hermitian-positive dual witness")
 
-    dim = comb(n, p) ** 2
-    rng = np.random.default_rng(np.random.SeedSequence(budget.rng_seed))
     if dictionary is None:
+        dim = comb(n, p) ** 2
         size = dictionary_size if dictionary_size is not None else 20 * dim
-        dictionary = []
-        for _ in range(size):
-            vecs = rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))
-            vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-            dictionary.append([list(v) for v in vecs])
-    atoms = []
-    phase = ipow(p * p)
-    for factors in dictionary:
-        alpha = decomposable(factors)
-        atoms.append(alpha.wedge(alpha.conjugate()) * phase)
-    target = _real_coords(u)
-    A = np.stack([_real_coords(a) for a in atoms], axis=1)
+        rng = np.random.default_rng(np.random.SeedSequence(budget.rng_seed))
+        ws = _random_factors(rng, size, p, n)
+    else:
+        ws = np.asarray(dictionary, dtype=complex)
+        if ws.ndim != 3 or ws.shape[0] == 0 or ws.shape[1:] != (p, n):
+            raise ValueError(f"dictionary has shape {ws.shape}, expected "
+                             f"(k, {p}, {n}) with k >= 1")
+    # imported here: only this test needs scipy.optimize, and importing it
+    # takes most of the package's import time
+    import scipy.optimize
+
+    target = _real_coords(u.array, p)
+    A = _square_coords(ws)
     weights, rnorm = scipy.optimize.nnls(A, target, maxiter=10 * A.shape[1])
     rel = rnorm / max(1.0, float(np.linalg.norm(target)))
     if rel <= 1e-8:
-        used = [(float(w), dictionary[i]) for i, w in enumerate(weights) if w > 0]
-        cert = {"weights": [w for w, _ in used],
-                "atoms": [[list(map(complex, f)) for f in fs] for _, fs in used],
+        used = np.flatnonzero(weights > 0)
+        cert = {"weights": [float(w) for w in weights[used]],
+                "atoms": [[list(map(complex, f)) for f in ws[i]] for i in used],
                 "residual": float(rel)}
         return PositivityVerdict(Status.CERTIFIED, float(rel), cert)
     return PositivityVerdict(Status.UNKNOWN, float(rel), None,

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from chernweil.batch import (RunConfig, check_form_file, child_seed,
                              curvature_from_json, curvature_to_json,
@@ -18,7 +20,7 @@ from chernweil.batch import (RunConfig, check_form_file, child_seed,
 from chernweil.cli import main
 from chernweil.curvature import chern_form, coefficients
 from chernweil.exterior import ExteriorForm, multi_indices
-from chernweil.generators import dual_nakano_sample
+from chernweil.generators import GeneratorSpec, dual_nakano_sample, sample
 
 TINY = dict(samples=4, starts=8, iters=40, workers=1)
 
@@ -336,6 +338,8 @@ def _check_form_doc(tmp_path, form):
     ({"kind": "schur", "sigma": [1, "x"]}, "sigma"),
     ({"kind": "chern", "k": "two"}, "k"),
     ({"kind": "segre", "k": None}, "k"),
+    ({"kind": "chern", "k": float("inf")}, "k"),
+    ({"kind": "schur", "sigma": [float("inf")]}, "sigma"),
 ])
 def test_malformed_form_spec_names_the_field(tmp_path, capsys, form, field):
     path = _check_form_doc(tmp_path, form)
@@ -343,6 +347,26 @@ def test_malformed_form_spec_names_the_field(tmp_path, capsys, form, field):
         check_form_file(RunConfig("check-form", input_path=str(path)))
     assert main(["check-form", str(path)]) == 2
     assert f"'{field}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["curvature"].update(n=float("inf")), "n/r field"),
+    (lambda d: d["curvature"]["theta"][0][0].update(entries=False),
+     r"theta\[0\]\[0\] lacks an 'entries' list"),
+    (lambda d: d["curvature"]["theta"][0][0]["entries"][0].update(j=float("inf")),
+     r"theta\[0\]\[0\] entry 0 malformed"),
+    (lambda d: d.update(checks=None), "checks must be a list"),
+    (lambda d: d.update(checks=["positive", "strong"]), "'strong'"),
+], ids=["n-inf", "entries-bool", "j-inf", "checks-none", "checks-unknown"])
+def test_malformed_document_exits_two(tmp_path, capsys, edit, message):
+    doc = {"curvature": curvature_to_json(dual_nakano_sample(2, 2, seed=3))}
+    edit(doc)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=message):
+        check_form_file(RunConfig("check-form", input_path=str(path)))
+    assert main(["check-form", str(path)]) == 2
+    assert re.search(message, capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("literal", ["NaN", "1e999", "-Infinity"])
@@ -399,3 +423,77 @@ def test_reports_are_strict_json(tmp_path):
     with pytest.raises(ValueError):
         write_report(report, str(tmp_path / "r.json"))
     assert not (tmp_path / "r.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# check-form on fuzzed documents
+
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 6), st.text(max_size=3),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e300]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.lists(st.integers(-1, 3), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(-1, 3), max_size=2))
+FORM_SPECS = st.one_of(
+    st.fixed_dictionaries({"kind": st.sampled_from(["chern", "chern_oracle", "segre"]),
+                           "k": st.one_of(st.integers(-1, 4), JUNK)}),
+    st.fixed_dictionaries({"kind": st.sampled_from(["schur", "generalized_schur"]),
+                           "sigma": st.one_of(st.lists(st.integers(-2, 4), max_size=4),
+                                              JUNK)}),
+    st.dictionaries(st.sampled_from(["kind", "k", "sigma"]), JUNK, max_size=3),
+    JUNK)
+CHECKS = ["positive", "hermitian_positive", "strongly_positive"]
+
+
+def _slots(obj, depth=0):
+    """Every (depth, container, key) inside a JSON value."""
+    items = obj.items() if isinstance(obj, dict) else \
+        enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield depth, obj, key
+        yield from _slots(value, depth + 1)
+
+
+def _mutate(draw, doc):
+    """Replace or delete one value, at a depth drawn first so that the few
+    top-level fields are hit as often as the many coefficient entries."""
+    slots = list(_slots(doc))
+    depth = draw(st.sampled_from(sorted({d for d, _, _ in slots})))
+    _, parent, key = draw(st.sampled_from([s for s in slots if s[0] == depth]))
+    if draw(st.booleans()):
+        parent[key] = draw(JUNK)
+    else:
+        del parent[key]
+
+
+@st.composite
+def check_form_documents(draw):
+    n, r = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    spec = GeneratorSpec(draw(st.sampled_from(GeneratorSpec.KINDS)), n, r,
+                         draw(st.integers(0, 2**16)))
+    doc = {"curvature": curvature_to_json(sample(spec)),
+           "form": draw(FORM_SPECS),
+           "checks": draw(st.one_of(st.just(CHECKS).map(list),
+                                    st.lists(st.sampled_from(CHECKS + ["bogus"]),
+                                             max_size=3),
+                                    JUNK))}
+    for _ in range(draw(st.integers(0, 3))):
+        _mutate(draw, doc)
+    return doc
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(check_form_documents())
+def test_check_form_fuzz_exits_cleanly(tmp_path, capsys, doc):
+    # wrong sizes, missing keys, non-numbers, NaN/inf and bad form specs all
+    # end in an exit code, never a traceback
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main(["check-form", str(path), "--starts", "2", "--iters", "5",
+                 "--out", str(tmp_path / "report.json")])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert "error:" in capsys.readouterr().err

@@ -327,6 +327,30 @@ def test_gram_frozen_examples():
     assert G == pytest.approx(np.array([[1.0]]))
 
 
+def gram_oracle(u):
+    """The Gram matrix entry by entry, through two wedges and the volume."""
+    n = u.n
+    q = n - u.p
+    basis = multi_indices(n, q)
+    G = np.zeros((len(basis), len(basis)), dtype=complex)
+    for a, I in enumerate(basis):
+        left = u.wedge(ExteriorForm.basis(n, I, ())) * ipow(q * q)
+        for b, J in enumerate(basis):
+            eta = ExteriorForm.basis(n, J, ()).conjugate()
+            G[a, b] = top_coefficient(left.wedge(eta))
+    return 0.5 * (G + G.conj().T)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_gram_matches_wedge_oracle(n):
+    rng = np.random.default_rng(60 + n)
+    for p in range(n + 1):
+        u = random_real_form(n, p, rng=rng)
+        G, basis = hermitian_gram(u)
+        assert basis == multi_indices(n, n - p)
+        assert np.array_equal(G, gram_oracle(u))
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 3))
 def test_gram_of_squares_is_psd(seed, p):

@@ -6,15 +6,22 @@ and against reconstruction of the returned certificates.
 """
 
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chernweil
 from chernweil.curvature import SearchBudget
 from chernweil.exterior import (ExteriorForm, NotReal, decomposable,
                                 evaluate_pairing, ipow, one_form,
                                 volume_coefficient, wedge)
-from chernweil.positivity import (PositivityVerdict, Status,
+from chernweil.positivity import (PositivityVerdict, Status, _random_factors,
+                                  _real_coords, _square_coords,
                                   check_hermitian_positive, check_positive,
                                   check_strongly_positive, gram_witness_form,
                                   reconstruct_certificate)
@@ -257,6 +264,64 @@ def test_strong_wedge_closure_via_product_dictionary():
                     for f1 in v1.witness["atoms"] for f2 in v2.witness["atoms"]]
     v = check_strongly_positive(wedge(u1, u2), FAST, dictionary=product_dict)
     assert v.status is Status.CERTIFIED
+
+
+def test_random_factors_match_per_tuple_draws():
+    # one (size, 2, p, n) draw reads the stream in the order of one real and
+    # one imaginary (p, n) block per tuple
+    size, p, n = 50, 2, 4
+    ws = _random_factors(np.random.default_rng(7), size, p, n)
+    rng = np.random.default_rng(7)
+    for k in range(size):
+        vecs = rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))
+        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        assert np.array_equal(ws[k], vecs)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_square_coords_match_wedged_squares(p):
+    # odd p reads the imaginary diagonal, even p the real one
+    rng = np.random.default_rng(40 + p)
+    for n in range(p, 6):
+        ws = rng.standard_normal((6, p, n)) + 1j * rng.standard_normal((6, p, n))
+        ws /= np.linalg.norm(ws, axis=2, keepdims=True)
+        A = _square_coords(ws)
+        for k in range(len(ws)):
+            want = _real_coords(square(list(ws[k]), n).array, p)
+            np.testing.assert_allclose(A[:, k], want, rtol=0, atol=1e-14)
+
+
+def test_strong_dictionary_as_lists_or_array():
+    n = 3
+    rng = np.random.default_rng(13)
+    u = ExteriorForm.zero(n, 1, 1)
+    for _ in range(4):
+        u = u + square(random_covectors(n, 1, rng), n) * float(rng.uniform(0.2, 1.0))
+    ws = rng.standard_normal((60, 1, n)) + 1j * rng.standard_normal((60, 1, n))
+    as_array = check_strongly_positive(u, FAST, dictionary=ws)
+    as_lists = check_strongly_positive(
+        u, FAST, dictionary=[[list(map(complex, f)) for f in fs] for fs in ws])
+    assert as_array.status is Status.CERTIFIED
+    assert as_lists == as_array
+    back = reconstruct_certificate(as_array, n, 1)
+    assert (back - u).max_abs() < 1e-6 * max(1.0, u.max_abs())
+
+
+@pytest.mark.parametrize("shape", [(5, 2, 3), (5, 1, 4), (5, 3), (0, 1, 3)])
+def test_strong_dictionary_of_wrong_shape_names_it(shape):
+    u = omega(3)
+    with pytest.raises(ValueError, match=re.escape(str(shape))):
+        check_strongly_positive(u, FAST, dictionary=np.ones(shape))
+
+
+def test_importing_the_cli_leaves_scipy_optimize_unloaded():
+    code = ("import sys, chernweil.cli; "
+            "print('scipy.optimize' in sys.modules)")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(chernweil.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_reconstruct_requires_certificate():
