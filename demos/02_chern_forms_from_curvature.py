@@ -6,9 +6,9 @@ Run with:  python3 demos/02_chern_forms_from_curvature.py
 import numpy as np
 
 from chernweil import (chern_form, chern_form_oracle, dual_nakano_sample,
-                       generalized_schur_form, griffiths_energy,
-                       griffiths_minimum, schur_form, segre_form,
-                       total_chern_forms, validate, wedge)
+                       generalized_schur_form, griffiths_certificate,
+                       griffiths_energy, griffiths_minimum, schur_form,
+                       segre_form, total_chern_forms, validate, wedge)
 
 # a random dual-Nakano semipositive curvature point on C^3, rank 3
 point = dual_nakano_sample(n=3, r=3, seed=7)
@@ -31,10 +31,12 @@ via_chern = schur_form(point, (2, 1, 0), chern)
 via_segre = generalized_schur_form(point, (-2, 1, 4))
 print("S_(2,1,0) route gap:", (via_chern - via_segre).max_abs())
 
-# Griffiths energies: semipositive families stay nonnegative,
-# and the multistart search confirms it
+# Griffiths energies: semipositive families stay nonnegative.  An exact
+# certificate (one eigenvalue problem) proves it when the point is
+# (dual) Nakano semipositive; the multistart search is the fallback
 v = np.array([1.0, 0.5j, 0.0])
 tau = np.array([0.0, 1.0, -1.0j])
 print("\nenergy at a probe:", griffiths_energy(point, v, tau))
+print("certificate (kind, lambda_min):", griffiths_certificate(point))
 report = griffiths_minimum(point)
 print("minimum over unit vectors:", report.min_value, "->", report.status)

@@ -20,10 +20,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from .curvature import (CurvaturePoint, SearchBudget, chern_form,
-                        chern_form_oracle, generalized_schur_form,
-                        griffiths_minimum, schur_form, segre_form,
-                        total_chern_forms, validate)
+from .curvature import (SEMIPOSITIVE, CurvaturePoint, SearchBudget,
+                        chern_form, chern_form_oracle, generalized_schur_form,
+                        griffiths_certificate, griffiths_minimum, schur_form,
+                        segre_form, total_chern_forms, validate)
 from .exterior import ExteriorForm, evaluate_pairing, wedge_power
 from .generators import GeneratorSpec, sample
 from .positivity import (Status, check_hermitian_positive, check_positive,
@@ -33,7 +33,10 @@ from .schur import (FlagType, complete_flag_oracle, dp_pushforward,
                     projective_oracle, segre_to_chern)
 from .polynomial import SymPoly, _compositions, divide_exact
 
+# the curvature wire format and the battery reports are versioned apart, so
+# a change in what a report field means does not reject curvature documents
 SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 WORKERS_ENV = "CHERNWEIL_WORKERS"
 
 POSITIVE_KINDS = ("dual_nakano", "line_sum", "psd_tensor", "convex_mix")
@@ -191,6 +194,23 @@ def _jsonable(x):
     return x
 
 
+def _griffiths_fields(point: CurvaturePoint, budget: SearchBudget) -> dict:
+    """Griffiths semipositivity of a sample: exact certificate, else search.
+
+    A certified record's griffiths_min is the certificate's lambda_min, a
+    lower bound on the energy over unit (v, tau); a searched record's is the
+    smallest energy the search found.
+    """
+    cert = griffiths_certificate(point, budget.tol)
+    if cert is not None:
+        kind, lam = cert
+        return {"griffiths_certificate": kind, "griffiths_min": lam,
+                "griffiths_status": SEMIPOSITIVE}
+    grif = griffiths_minimum(point, budget)
+    return {"griffiths_certificate": "search", "griffiths_min": grif.min_value,
+            "griffiths_status": grif.status}
+
+
 def _main_theorem_sample(args) -> dict:
     cfg, index = args
     kind = cfg.generators[index % len(cfg.generators)]
@@ -198,7 +218,7 @@ def _main_theorem_sample(args) -> dict:
     spec = GeneratorSpec(kind, cfg.n, 3, seed)
     point = sample(spec)
     budget = cfg.budget(seed)
-    grif = griffiths_minimum(point, budget)
+    griffiths = _griffiths_fields(point, budget)
     chern = total_chern_forms(point)
     via_chern = schur_form(point, (2, 1, 0), chern)
     segre = [segre_form(point, l, chern) for l in range(min(point.n, 4) + 1)]
@@ -208,8 +228,7 @@ def _main_theorem_sample(args) -> dict:
     rec = {
         "index": index,
         "generator": {"kind": kind, "n": cfg.n, "r": 3, "seed": seed},
-        "griffiths_min": grif.min_value,
-        "griffiths_status": grif.status,
+        **griffiths,
         "route_gap": gap,
         "verdict": _verdict_record(verdict),
         "expected_positive": kind != "indefinite",
@@ -334,7 +353,7 @@ def _finalize(cfg: RunConfig, records, aggregate) -> dict:
     echo.pop("csv_path", None)
     echo.pop("workers", None)
     return {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": REPORT_SCHEMA_VERSION,
         "package_version": __version__,
         "command": cfg.command,
         "config": echo,

@@ -13,6 +13,24 @@ on the raw coefficients t of Theta[a][b] = sum t[a,b,j,k] e_j^v ^ conj(e_k^v).
 With this pairing i*Theta == omega x Id for the standard Kaehler omega gives
 G = |v|^2 |tau|^2, and curvature of the shape A ^ conj(A)^t gives
 G = sum_s |<A_s, v x tau>|^2 >= 0.
+
+G is the Hermitian form of an rn x rn matrix read on product vectors, in
+two ways (rows and columns indexed by pairs, a and b first):
+
+    M1[(a,j),(b,k)] = t[a,b,j,k]    G(v, tau) = x^H M1 x,  x = v (x) conj(tau)
+    M2[(a,k),(b,j)] = t[a,b,j,k]    G(v, tau) = y^H M2 y,  y = v (x) tau
+
+Unit v and tau give unit x and y, so lambda_min(M1) and lambda_min(M2) are
+lower bounds for G: either matrix being positive semidefinite certifies
+Griffiths semipositivity exactly.
+
+The labels follow Demailly's convention.  Writing G as the Griffiths form
+sum c[j,k,l,m] tau_j conj(tau_k) v_l conj(v_m) gives c[j,k,l,m] = t[m,l,j,k].
+Nakano semipositivity asks sum c[j,k,l,m] u[j,l] conj(u[k,m]) >= 0 for every
+u in C^n (x) C^r, and that sum is y^H M2 y at y[(l,j)] = u[j,l].  So M2 >= 0
+is Nakano and M1 >= 0, its partial transpose, dual Nakano semipositivity.
+The quotient-type curvature A ^ conj(A)^t above has M1 = sum_s A_s A_s^H: it
+is dual Nakano, as the generator's name says, and in general not Nakano.
 """
 
 from __future__ import annotations
@@ -265,6 +283,8 @@ def _det_mixed(mat, n: int, weight: int) -> ExteriorForm:
 SEMIPOSITIVE = "semipositive_up_to_tol"
 NEGATIVE_WITNESS = "negative_witness"
 INCONCLUSIVE = "inconclusive"
+DUAL_NAKANO = "dual_nakano"
+NAKANO = "nakano"
 
 
 @dataclass(frozen=True)
@@ -296,6 +316,26 @@ def griffiths_energy(c: CurvaturePoint, v: Sequence[complex],
     if abs(val.imag) > 1e-8 * max(1.0, abs(val)):
         raise ValueError(f"energy {val} is not real; curvature point invalid?")
     return val.real
+
+
+def griffiths_certificate(c: CurvaturePoint,
+                          tol: float = SearchBudget.tol) -> tuple[str, float] | None:
+    """Exact certificate of Griffiths semipositivity up to tol, or None.
+
+    Tries the dual Nakano matrix M1, then the Nakano matrix M2 (module
+    docstring): one eigvalsh of the Hermitian part each.  Returns
+    (kind, lambda_min) for the first with lambda_min >= -tol; since G >=
+    lambda_min on unit (v, tau), no energy lies below -tol.  None means
+    neither test holds; the point may still be Griffiths semipositive.
+    """
+    t = coefficients(c)
+    rn = c.r * c.n
+    for kind, axes in ((DUAL_NAKANO, (0, 2, 1, 3)), (NAKANO, (0, 3, 1, 2))):
+        M = t.transpose(axes).reshape(rn, rn)
+        lam = float(np.linalg.eigvalsh(0.5 * (M + M.conj().T))[0])
+        if lam >= -tol:
+            return kind, lam
+    return None
 
 
 def hermitian_min_eig(H: np.ndarray):

@@ -11,14 +11,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from chernweil.batch import (RunConfig, check_form_file, child_seed,
+from chernweil.batch import (REPORT_SCHEMA_VERSION, SCHEMA_VERSION, RunConfig,
+                             check_form_file, child_seed,
                              curvature_from_json, curvature_to_json,
                              form_from_json, form_to_json, replay_witness,
                              report_json, verify_c2, verify_inequalities,
                              verify_main_theorem, verify_pushforwards,
                              write_csv, write_report)
 from chernweil.cli import main
-from chernweil.curvature import chern_form, coefficients
+from chernweil.curvature import (SEMIPOSITIVE, chern_form, coefficients,
+                                 griffiths_minimum)
 from chernweil.exterior import ExteriorForm, multi_indices
 from chernweil.generators import GeneratorSpec, dual_nakano_sample, sample
 
@@ -152,6 +154,45 @@ def test_main_battery_small_run_passes():
     assert agg["routes_agree"]
     assert agg["max_route_gap"] <= cfg.equality_tol
     assert len(report["samples"]) == cfg.samples
+
+
+def test_reports_and_curvature_documents_are_versioned_apart():
+    # reports moved to version 2 when griffiths_min of certified records
+    # became a lower bound; curvature documents stay at version 1
+    assert (SCHEMA_VERSION, REPORT_SCHEMA_VERSION) == (1, 2)
+    point = dual_nakano_sample(2, 2, seed=5)
+    doc = json.loads(json.dumps(curvature_to_json(point)))
+    assert doc["schema_version"] == 1
+    assert np.array_equal(coefficients(curvature_from_json(doc)),
+                          coefficients(point))
+    report = verify_main_theorem(RunConfig("verify-main", n=3, r=3, seed=1,
+                                           **TINY))
+    assert report["schema_version"] == 2
+    assert verify_pushforwards(RunConfig(
+        "verify-pushforwards", max_rank=2, max_excess=0,
+        jt_weight=1))["schema_version"] == 2
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_griffiths_certificate_never_changes_the_status(n):
+    # the record's status must be the one the search alone would give, and
+    # a certified lower bound can never lie above the search's minimum
+    cfg = RunConfig("verify-main", n=n, r=3, samples=20, seed=60 + n,
+                    generators=GeneratorSpec.KINDS, workers=1)
+    for rec in verify_main_theorem(cfg)["samples"]:
+        gen = rec["generator"]
+        point = sample(GeneratorSpec(gen["kind"], gen["n"], gen["r"], gen["seed"]))
+        search = griffiths_minimum(point, cfg.budget(gen["seed"]))
+        assert rec["griffiths_status"] == search.status, gen
+        if gen["kind"] == "indefinite":
+            assert rec["griffiths_certificate"] == "search"
+            assert rec["griffiths_min"] == search.min_value
+        else:
+            assert rec["griffiths_certificate"] == "dual_nakano", gen
+            assert rec["griffiths_status"] == SEMIPOSITIVE
+            scale = max(1.0, point.max_abs())
+            assert rec["griffiths_min"] >= -cfg.tol
+            assert rec["griffiths_min"] <= search.min_value + 1e-12 * scale
 
 
 def test_main_battery_preconditions():

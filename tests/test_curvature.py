@@ -10,14 +10,16 @@ import math
 import numpy as np
 import pytest
 
-from chernweil.curvature import (NEGATIVE_WITNESS, SEMIPOSITIVE, CurvaturePoint,
-                                 SearchBudget, chern_form, chern_form_oracle,
-                                 coefficients, from_coefficients,
-                                 generalized_schur_form, griffiths_energy,
+from chernweil.batch import _griffiths_fields
+from chernweil.curvature import (DUAL_NAKANO, NAKANO, NEGATIVE_WITNESS,
+                                 SEMIPOSITIVE, CurvaturePoint, SearchBudget,
+                                 chern_form, chern_form_oracle, coefficients,
+                                 from_coefficients, generalized_schur_form,
+                                 griffiths_certificate, griffiths_energy,
                                  griffiths_minimum, schur_form, segre_form,
                                  total_chern_forms, validate)
 from chernweil.exterior import ExteriorForm, volume_coefficient, wedge
-from chernweil.generators import dual_nakano_sample
+from chernweil.generators import dual_nakano_sample, indefinite_control
 
 RNG = np.random.default_rng(20240812)
 TOL = 1e-12
@@ -277,3 +279,124 @@ def test_dual_nakano_samples_are_semipositive():
             v = RNG.normal(size=r) + 1j * RNG.normal(size=r)
             tau = RNG.normal(size=n) + 1j * RNG.normal(size=n)
             assert griffiths_energy(c, v, tau).real >= -1e-10 * c.max_abs()
+
+
+# ---------------------------------------------------------------------------
+# Griffiths certificates: the dual Nakano matrix M1 and the Nakano matrix M2
+
+def certificate_min_eigs(t):
+    """lambda_min of M1[(a,j),(b,k)] and of M2[(a,k),(b,j)], both = t[a,b,j,k]."""
+    r, _, n, _ = t.shape
+    m1 = np.einsum("abjk->ajbk", t).reshape(r * n, r * n)
+    m2 = np.einsum("abjk->akbj", t).reshape(r * n, r * n)
+    return tuple(float(np.linalg.eigvalsh(m)[0]) for m in (m1, m2))
+
+
+def choi_tensor(a, b, c):
+    """t[p,q] = Phi(E_pq) for the generalized Choi map Phi[a,b,c] on 3 x 3.
+
+    Phi(X) = diag(a x11 + b x22 + c x33, c x11 + a x22 + b x33,
+                  b x11 + c x22 + a x33) - X
+    is a positive map for a >= 1, a + b + c >= 3 and, if a <= 2,
+    bc >= (2 - a)^2 (Cho-Kye-Lee 1992), so G(v, tau) = z^H Phi(w w^H) z >= 0
+    with w = conj(v), z = conj(tau).
+    """
+    weights = np.array([[a, b, c], [c, a, b], [b, c, a]], dtype=float)
+    t = np.zeros((3, 3, 3, 3), dtype=complex)
+    for p in range(3):
+        t[p, p] = np.diag(weights[:, p])
+        for q in range(3):
+            t[p, q, p, q] -= 1.0
+    return t
+
+
+def test_certificate_bound_is_an_energy_on_product_vectors():
+    # -x x^H with x = v (x) conj(tau) gives lambda_min(M1) = -1 = G(v, tau),
+    # so the certificate's bound is attained exactly where the docstring says
+    for n, r in [(2, 2), (3, 2), (2, 3)]:
+        v = RNG.normal(size=r) + 1j * RNG.normal(size=r)
+        tau = RNG.normal(size=n) + 1j * RNG.normal(size=n)
+        v, tau = v / np.linalg.norm(v), tau / np.linalg.norm(tau)
+        x = np.kron(v, tau.conj())
+        t = -np.einsum("p,q->pq", x, x.conj()).reshape(r, n, r, n)
+        c = from_coefficients(t.transpose(0, 2, 1, 3))
+        assert validate(c) == []
+        kind, lam = griffiths_certificate(c, tol=2.0)
+        assert kind == DUAL_NAKANO
+        assert abs(lam + 1.0) < 1e-12
+        assert abs(griffiths_energy(c, v, tau) - lam) < 1e-12
+
+
+def test_certificate_bounds_every_energy_from_below():
+    budget = SearchBudget(random_starts=16, local_iters=100)
+    for n, r in [(2, 2), (3, 3), (4, 2)]:
+        c = from_coefficients(hermitian_tensor(n, r, RNG))
+        kind, lam = griffiths_certificate(c, tol=np.inf)
+        assert kind == DUAL_NAKANO
+        assert lam <= griffiths_minimum(c, budget).min_value + 1e-12
+        for _ in range(20):
+            v = RNG.normal(size=r) + 1j * RNG.normal(size=r)
+            tau = RNG.normal(size=n) + 1j * RNG.normal(size=n)
+            v, tau = v / np.linalg.norm(v), tau / np.linalg.norm(tau)
+            assert griffiths_energy(c, v, tau) >= lam - 1e-12
+
+
+def test_certificate_dual_nakano_sample_is_dual_nakano_only():
+    c = dual_nakano_sample(3, 3, seed=7)
+    m1, m2 = certificate_min_eigs(coefficients(c))
+    assert abs(m1) < 1e-12
+    assert m2 < -8.0  # -8.82: A ^ conj(A)^t is not Nakano
+    kind, lam = griffiths_certificate(c)
+    assert kind == DUAL_NAKANO
+    assert lam == pytest.approx(m1, abs=1e-12)
+
+
+def test_certificate_partial_transpose_is_nakano_only():
+    t = coefficients(dual_nakano_sample(3, 3, seed=7)).transpose(0, 1, 3, 2)
+    c = from_coefficients(t)
+    assert validate(c) == []
+    m1, m2 = certificate_min_eigs(t)
+    assert m1 < -8.0 and abs(m2) < 1e-12
+    kind, lam = griffiths_certificate(c)
+    assert kind == NAKANO
+    assert lam == pytest.approx(m2, abs=1e-12)
+
+
+@pytest.mark.parametrize("abc, mins", [((2.0, 0.0, 1.0), (-1.0, -0.618)),
+                                       ((1.5, 1.0, 0.5), (-1.5, -0.281))])
+def test_certificate_fails_on_choi_maps_and_the_search_decides(abc, mins):
+    # Griffiths semipositive, but neither Nakano nor dual Nakano
+    c = from_coefficients(choi_tensor(*abc))
+    assert validate(c) == []
+    assert certificate_min_eigs(coefficients(c)) == pytest.approx(mins, abs=1e-3)
+    assert griffiths_certificate(c) is None
+    fields = _griffiths_fields(c, SearchBudget())
+    assert fields["griffiths_certificate"] == "search"
+    assert fields["griffiths_status"] == SEMIPOSITIVE
+    assert fields["griffiths_min"] >= -1e-9
+
+
+def test_certificate_fails_on_indefinite_controls():
+    for n, seed in [(3, 0), (4, 3), (5, 11)]:
+        c, _ = indefinite_control(n, 3, seed=seed)
+        assert griffiths_certificate(c) is None
+        fields = _griffiths_fields(c, SearchBudget())
+        assert fields["griffiths_certificate"] == "search"
+        assert fields["griffiths_status"] == NEGATIVE_WITNESS
+        assert fields["griffiths_min"] < -1e-9
+
+
+def test_certificate_threshold_is_absolute_tol():
+    tol = SearchBudget().tol
+    for shift, certified in [(-0.5 * tol, True), (-2.0 * tol, False)]:
+        t = identity_tensor(3, 2)
+        t[1, 1, 2, 2] = shift  # M1 and M2 are both diagonal here
+        c = from_coefficients(t)
+        assert certificate_min_eigs(t) == pytest.approx((shift, shift), abs=1e-20)
+        got = griffiths_certificate(c, tol)
+        if certified:
+            assert got[0] == DUAL_NAKANO
+            assert got[1] == pytest.approx(shift, abs=1e-20)
+        else:
+            assert got is None
+            assert griffiths_minimum(c).status == NEGATIVE_WITNESS
