@@ -19,11 +19,10 @@ from .schur import (FlagType, complete_flag_oracle, conjugate_partition,
                     projective_oracle, schur_in_chern, schur_product_expand,
                     segre_in_chern, segre_to_chern)
 from .curvature import (CurvaturePoint, GriffithsReport, SearchBudget,
-                        chern_form, chern_form_oracle, coefficients,
-                        from_coefficients, generalized_schur_form,
-                        griffiths_certificate, griffiths_energy,
-                        griffiths_minimum, schur_form, segre_form,
-                        total_chern_forms, validate)
+                        chern_form, chern_form_oracle, from_coefficients,
+                        generalized_schur_form, griffiths_certificate,
+                        griffiths_energy, griffiths_minimum, schur_form,
+                        segre_form, total_chern_forms, validate)
 from .positivity import (PositivityVerdict, Status, check_hermitian_positive,
                          check_positive, check_strongly_positive,
                          gram_witness_form, reconstruct_certificate)

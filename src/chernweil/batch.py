@@ -21,9 +21,10 @@ import numpy as np
 
 from . import __version__
 from .curvature import (SEMIPOSITIVE, CurvaturePoint, SearchBudget,
-                        chern_form, chern_form_oracle, generalized_schur_form,
-                        griffiths_certificate, griffiths_minimum, schur_form,
-                        segre_form, total_chern_forms, validate)
+                        chern_form, chern_form_oracle, from_coefficients,
+                        generalized_schur_form, griffiths_certificate,
+                        griffiths_minimum, schur_form, segre_form,
+                        total_chern_forms, validate)
 from .exterior import ExteriorForm, evaluate_pairing, wedge_power
 from .generators import GeneratorSpec, sample
 from .positivity import (Status, check_hermitian_positive, check_positive,
@@ -107,19 +108,19 @@ def form_from_json(obj: dict) -> ExteriorForm:
 
 
 def curvature_to_json(c: CurvaturePoint) -> dict:
-    theta = []
-    for a in range(c.r):
-        row = []
-        for b in range(c.r):
-            entries = [{"j": I[0], "k": J[0], "re": v.real, "im": v.imag}
-                       for (I, J), v in c.theta[a][b].items()]
-            row.append({"entries": entries})
-        theta.append(row)
+    theta = [[{"entries": []} for _ in range(c.r)] for _ in range(c.r)]
+    for a, b, j, k in zip(*np.nonzero(c.t)):
+        v = complex(c.t[a, b, j, k])
+        theta[a][b]["entries"].append(
+            {"j": int(j) + 1, "k": int(k) + 1, "re": v.real, "im": v.imag})
     return {"schema_version": SCHEMA_VERSION, "n": c.n, "r": c.r, "theta": theta}
 
 
 def curvature_from_json(obj: dict) -> CurvaturePoint:
-    """Parse and validate the curvature wire format; errors name the entry."""
+    """Parse and validate the curvature wire format; errors name the entry.
+
+    Entries with the same (j, k) in one cell add up.
+    """
     if not isinstance(obj, dict):
         raise ValueError("curvature document must be a JSON object")
     version = obj.get("schema_version")
@@ -133,33 +134,31 @@ def curvature_from_json(obj: dict) -> CurvaturePoint:
     if not isinstance(theta, list) or len(theta) != r or \
             any(not isinstance(row, list) or len(row) != r for row in theta):
         raise ValueError(f"theta must be an {r} x {r} nested list")
-    rows = []
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    t = np.zeros((r, r, n, n), dtype=complex)
     for a in range(r):
-        row = []
         for b in range(r):
             cell = theta[a][b]
             entries = cell.get("entries") if isinstance(cell, dict) else None
             if not isinstance(entries, list):
                 raise ValueError(f"theta[{a}][{b}] lacks an 'entries' list")
-            coeffs = {}
-            for t, e in enumerate(entries):
+            for e_idx, e in enumerate(entries):
                 try:
                     j, k = int(e["j"]), int(e["k"])
                     v = complex(float(e["re"]), float(e["im"]))
                 except (KeyError, TypeError, ValueError, OverflowError) as exc:
                     raise ValueError(
-                        f"theta[{a}][{b}] entry {t} malformed: {exc}") from exc
+                        f"theta[{a}][{b}] entry {e_idx} malformed: {exc}") from exc
                 if not cmath.isfinite(v):
                     raise ValueError(
-                        f"theta[{a}][{b}] entry {t} is not finite: {v}")
+                        f"theta[{a}][{b}] entry {e_idx} is not finite: {v}")
                 if not (1 <= j <= n and 1 <= k <= n):
                     raise ValueError(
-                        f"theta[{a}][{b}] entry {t} has indices ({j},{k}) "
+                        f"theta[{a}][{b}] entry {e_idx} has indices ({j},{k}) "
                         f"outside 1..{n}")
-                coeffs[((j,), (k,))] = coeffs.get(((j,), (k,)), 0) + v
-            row.append(ExteriorForm(n, 1, 1, coeffs))
-        rows.append(tuple(row))
-    point = CurvaturePoint(n, r, tuple(rows))
+                t[a, b, j - 1, k - 1] += v
+    point = from_coefficients(t)
     bad = validate(point)
     if bad:
         raise ValueError("curvature is not Hermitian-symmetric: " + "; ".join(bad))
@@ -271,8 +270,8 @@ def _c2_minor_identity(point: CurvaturePoint) -> ExteriorForm:
     acc = ExteriorForm.zero(n, 2, 2)
     for a in range(r):
         for b in range(a + 1, r):
-            acc = acc + (point.theta[a][a].wedge(point.theta[b][b])
-                         - point.theta[a][b].wedge(point.theta[b][a]))
+            acc = acc + (point.entry(a, a).wedge(point.entry(b, b))
+                         - point.entry(a, b).wedge(point.entry(b, a)))
     return acc * (-1.0 / (4.0 * np.pi ** 2))
 
 

@@ -1,18 +1,27 @@
 """Chern, Segre and Schur forms of a curvature tensor at a point.
 
-A curvature point is an r x r matrix of (1,1)-forms Theta with the Hermitian
-symmetry conj(Theta[a][b]) == -Theta[b][a]; equivalently i*Theta is a
-Hermitian matrix of forms.  Normalization: the k-th Chern form is the k-th
-coefficient of det(Id + t * (i/2pi) Theta), all factors of 1/(2pi) kept.
+A curvature point *is* its complex coefficient tensor t[a, b, j, k], of shape
+(r, r, n, n), read-only.  The curvature matrix is derived from it on demand:
+
+    Theta[a][b] = sum_{j,k} t[a,b,j,k] e_j^v ^ conj(e_k^v),
+
+a (1,1)-form, with the Hermitian symmetry conj(Theta[a][b]) == -Theta[b][a],
+i.e. conj(t[a,b,j,k]) == t[b,a,k,j]; equivalently i*Theta is a Hermitian
+matrix of forms.  Normalization: the k-th Chern form is the k-th coefficient
+of det(Id + s * (i/2pi) Theta), all factors of 1/(2pi) kept.
+
+Two independent routes compute it.  :func:`chern_form` runs the
+Faddeev-LeVerrier recursion on the dense coefficient arrays of the whole
+matrix; :func:`chern_form_oracle` sums Leibniz determinants of the principal
+minors, one :class:`ExteriorForm` wedge at a time.
 
 The Griffiths energy of the point is the real biquadratic
 
     G(v, tau) = sum_{a,b,j,k}  t[a,b,j,k] * conj(v_a) v_b tau_j conj(tau_k)
 
-on the raw coefficients t of Theta[a][b] = sum t[a,b,j,k] e_j^v ^ conj(e_k^v).
-With this pairing i*Theta == omega x Id for the standard Kaehler omega gives
-G = |v|^2 |tau|^2, and curvature of the shape A ^ conj(A)^t gives
-G = sum_s |<A_s, v x tau>|^2 >= 0.
+on the coefficient tensor.  With this pairing i*Theta == omega x Id for the
+standard Kaehler omega gives G = |v|^2 |tau|^2, and curvature of the shape
+A ^ conj(A)^t gives G = sum_s |<A_s, v x tau>|^2 >= 0.
 
 G is the Hermitian form of an rn x rn matrix read on product vectors, in
 two ways (rows and columns indexed by pairs, a and b first):
@@ -42,154 +51,141 @@ from typing import Sequence
 
 import numpy as np
 
-from .exterior import ExteriorForm, wedge_all
-from .polynomial import permutation_sign
+from .exterior import ExteriorForm, _merge_columns, wedge_all
+from .polynomial import signed_permutations
 
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
 class CurvaturePoint:
-    """Curvature data of a rank-r Hermitian bundle at a point of C^n."""
+    """Curvature data of a rank-r Hermitian bundle at a point of C^n.
 
-    n: int
-    r: int
-    theta: tuple[tuple[ExteriorForm, ...], ...]
+    ``t`` is the read-only coefficient tensor t[a, b, j, k]; n and r are
+    read from its shape.  Build points with :func:`from_coefficients`.
+    """
 
-    def __post_init__(self):
-        if len(self.theta) != self.r or any(len(row) != self.r for row in self.theta):
-            raise ValueError("theta must be an r x r matrix of forms")
-        for row in self.theta:
-            for f in row:
-                if f.n != self.n or f.bidegree != (1, 1):
-                    raise ValueError("curvature entries must be (1,1)-forms on C^n")
-        object.__setattr__(self, "theta", tuple(tuple(row) for row in self.theta))
+    __slots__ = ("t",)
+
+    def __init__(self, t: np.ndarray):
+        self.t = t
+
+    @property
+    def r(self) -> int:
+        return self.t.shape[0]
+
+    @property
+    def n(self) -> int:
+        return self.t.shape[2]
 
     def entry(self, a: int, b: int) -> ExteriorForm:
-        """Theta[a][b], 0-based."""
-        return self.theta[a][b]
+        """Theta[a][b], 0-based, as a (1,1)-form viewing the tensor."""
+        return ExteriorForm._from_array(self.n, 1, 1, self.t[a, b])
 
     def max_abs(self) -> float:
-        return max((f.max_abs() for row in self.theta for f in row), default=0.0)
+        return float(np.abs(self.t).max(initial=0.0))
 
 
 def from_coefficients(t: np.ndarray) -> CurvaturePoint:
-    """Build a point from the dense coefficient tensor t[a, b, j, k]."""
+    """Build a point from a copy of the dense coefficient tensor t[a, b, j, k].
+
+    Checks the shape (r, r, n, n) with n >= 1 and that every entry is
+    finite; Hermitian symmetry is left to :func:`validate`.
+    """
     t = np.array(t, dtype=complex)
-    r, r2, n, n2 = t.shape
-    if r != r2 or n != n2:
+    if t.ndim != 4 or t.shape[0] != t.shape[1] or t.shape[2] != t.shape[3]:
         raise ValueError(f"tensor shape {t.shape} is not (r, r, n, n)")
-    if n < 1:
+    if t.shape[2] < 1:
         raise ValueError("(1,1)-forms need n >= 1")
-    # the coefficient array of a (1,1)-form is indexed by (j, k) directly
-    return CurvaturePoint(n, r, tuple(
-        tuple(ExteriorForm._from_array(n, 1, 1, t[a, b]) for b in range(r))
-        for a in range(r)))
-
-
-def coefficients(c: CurvaturePoint) -> np.ndarray:
-    """Dense coefficient tensor t[a, b, j, k] of the curvature point."""
-    t = np.zeros((c.r, c.r, c.n, c.n), dtype=complex)
-    for a in range(c.r):
-        for b in range(c.r):
-            t[a, b] = c.theta[a][b].array
-    return t
+    bad = np.argwhere(~np.isfinite(t))
+    if len(bad):
+        raise ValueError(f"coefficient {t[tuple(bad[0])]} at index "
+                         f"{tuple(int(i) for i in bad[0])} is not finite")
+    t.setflags(write=False)
+    return CurvaturePoint(t)
 
 
 def validate(c: CurvaturePoint, tol: float | None = None) -> list[str]:
     """List of Hermitian-symmetry violations, empty when the point is valid."""
     scale = max(1.0, c.max_abs())
     limit = (1e-9 * scale) if tol is None else float(tol)
-    bad = []
-    for a in range(c.r):
-        for b in range(c.r):
-            defect = (c.theta[a][b].conjugate() + c.theta[b][a]).max_abs()
-            if defect > limit:
-                bad.append(f"entry ({a + 1},{b + 1}): |conj(theta) + theta^t| = {defect:.3e}")
-    return bad
+    # cell (a, b) holds Theta[a][b] + conj(Theta[b][a]); cells (a, b) and
+    # (b, a) are minus each other's conjugate transpose, so the maxima agree
+    defect = np.abs(c.t - c.t.conj().transpose(1, 0, 3, 2)).max(axis=(2, 3))
+    return [f"entry ({a + 1},{b + 1}): |conj(theta) + theta^t| = {defect[a, b]:.3e}"
+            for a, b in zip(*np.nonzero(defect > limit))]
 
 
 # ---------------------------------------------------------------------------
 # characteristic forms
 
-def _scaled_entries(c: CurvaturePoint) -> list[list[ExteriorForm]]:
-    s = 1j / TWO_PI
-    return [[c.theta[a][b] * s for b in range(c.r)] for a in range(c.r)]
+def _chern_arrays(c: CurvaturePoint, kmax: int) -> list[np.ndarray]:
+    """Coefficient arrays of c_0, ..., c_kmax by Faddeev-LeVerrier, kmax <= n.
 
-
-def _wedge_det_laplace(mat: list[list[ExteriorForm]], n: int) -> ExteriorForm:
-    """Determinant of a k x k matrix of (1,1)-forms by first-row cofactors."""
-    k = len(mat)
-    if k == 0:
-        return ExteriorForm.scalar(n, 1.0)
-    if k == 1:
-        return mat[0][0]
-    out = ExteriorForm.zero(n, k, k)
-    for j in range(k):
-        if mat[0][j].is_zero():
-            continue
-        minor = [[row[t] for t in range(k) if t != j] for row in mat[1:]]
-        term = mat[0][j].wedge(_wedge_det_laplace(minor, n))
-        if j % 2:
-            term = -term
-        out = out + term
-    return out
-
-
-def _wedge_det_leibniz(mat: list[list[ExteriorForm]], n: int) -> ExteriorForm:
-    k = len(mat)
-    if k == 0:
-        return ExteriorForm.scalar(n, 1.0)
-    out = None
-    for perm in itertools.permutations(range(k)):
-        term = wedge_all(mat[i][perm[i]] for i in range(k)) * permutation_sign(perm)
-        out = term if out is None else out + term
+    With M = (i/2pi) Theta and B_0 = Id: c_k = tr(M ^ B_{k-1}) / k and
+    B_k = c_k Id - M ^ B_{k-1}.  The entries are even forms, which commute,
+    so the recursion for the coefficients of det(Id + M) holds as over a
+    field.  The last step takes only the trace.
+    """
+    n, r = c.n, c.r
+    M = (1j / TWO_PI) * c.t
+    B = np.eye(r, dtype=complex)[:, :, None, None]
+    out = [np.ones((1, 1), dtype=complex)]
+    for k in range(1, kmax + 1):
+        # ExteriorForm.wedge of every product M[a][b] ^ B[b][c] at once:
+        # gather the coefficient pairs with disjoint indices, contract over
+        # the inner index b, merge with the shuffle signs, and apply the
+        # block sign (-1)**(deg B * 1) of moving B's holomorphic block
+        # past M's antiholomorphic one.
+        left, right, H = _merge_columns(n, 1, k - 1)
+        Mg = M[:, :, left[:, None], left]
+        Bg = B[:, :, right[:, None], right]
+        sign = -1.0 if (k - 1) % 2 else 1.0
+        if k == kmax:
+            out.append(sign / k * (H @ np.einsum("abxy,baxy->xy", Mg, Bg) @ H.T))
+            break
+        MB = sign * (H @ np.einsum("abxy,bcxy->acxy", Mg, Bg) @ H.T)
+        ck = np.trace(MB) / k
+        out.append(ck)
+        B = np.eye(r)[:, :, None, None] * ck - MB
     return out
 
 
 def chern_form(c: CurvaturePoint, k: int) -> ExteriorForm:
-    """k-th Chern form: sum over k-subsets of diagonal minors of (i/2pi) Theta.
+    """k-th Chern form, by the Faddeev-LeVerrier recursion on (i/2pi) Theta.
 
-    Minors are expanded by recursive cofactor (Laplace) expansion; see
-    :func:`chern_form_oracle` for the independently coded route.
+    See :func:`chern_form_oracle` for the independently coded route.
     """
     if k < 0 or k > c.r:
         raise ValueError(f"k = {k} outside 0..{c.r}")
-    if k == 0:
-        return ExteriorForm.scalar(c.n, 1.0)
     if k > c.n:
-        return ExteriorForm.zero(c.n, min(k, c.n), min(k, c.n))
-    m = _scaled_entries(c)
-    out = ExteriorForm.zero(c.n, k, k)
-    for S in itertools.combinations(range(c.r), k):
-        sub = [[m[a][b] for b in S] for a in S]
-        out = out + _wedge_det_laplace(sub, c.n)
-    return out
+        return ExteriorForm.zero(c.n, c.n, c.n)
+    return ExteriorForm._from_array(c.n, k, k, _chern_arrays(c, k)[k])
 
 
 def chern_form_oracle(c: CurvaturePoint, k: int) -> ExteriorForm:
-    """Trace of the induced endomorphism on the k-th exterior power.
+    """k-th Chern form as the sum of the k x k principal minors of (i/2pi) Theta.
 
-    Builds every entry of the compound matrix on the wedge basis by explicit
-    Leibniz permutation sums and sums the diagonal.  Same mathematical object
-    as :func:`chern_form`, different code path.
+    Each minor is a Leibniz permutation sum of wedge products of
+    :class:`ExteriorForm` entries.  Same mathematical object as
+    :func:`chern_form`; the two share only the exterior algebra's sign
+    tables.
     """
     if k < 0 or k > c.r:
         raise ValueError(f"k = {k} outside 0..{c.r}")
-    if k == 0:
-        return ExteriorForm.scalar(c.n, 1.0)
     if k > c.n:
-        return ExteriorForm.zero(c.n, min(k, c.n), min(k, c.n))
-    m = _scaled_entries(c)
+        return ExteriorForm.zero(c.n, c.n, c.n)
+    s = 1j / (2.0 * math.pi)
+    m = [[c.entry(a, b) * s for b in range(c.r)] for a in range(c.r)]
     trace = ExteriorForm.zero(c.n, k, k)
     for S in itertools.combinations(range(c.r), k):
-        trace = trace + _wedge_det_leibniz([[m[a][b] for b in S] for a in S], c.n)
+        trace = trace + _det_mixed([[m[a][b] for b in S] for a in S], c.n, k)
     return trace
 
 
 def total_chern_forms(c: CurvaturePoint) -> list[ExteriorForm]:
     """[c_0, c_1, ..., c_min(r, n)]."""
-    return [chern_form(c, k) for k in range(min(c.r, c.n) + 1)]
+    return [ExteriorForm._from_array(c.n, k, k, a)
+            for k, a in enumerate(_chern_arrays(c, min(c.r, c.n)))]
 
 
 def segre_form(c: CurvaturePoint, k: int,
@@ -265,15 +261,17 @@ def generalized_schur_form(c: CurvaturePoint, sigma: Sequence[int],
 
 
 def _det_mixed(mat, n: int, weight: int) -> ExteriorForm:
-    """Leibniz determinant of a matrix of even forms; None entries are zero."""
-    k = len(mat)
+    """Leibniz determinant of a matrix of even forms; None entries are zero.
+
+    The empty matrix has determinant 1.
+    """
     out = ExteriorForm.zero(n, weight, weight)
-    for perm in itertools.permutations(range(k)):
-        entries = [mat[i][perm[i]] for i in range(k)]
+    for perm, sign in signed_permutations(len(mat)):
+        entries = [row[j] for row, j in zip(mat, perm)]
         if any(e is None for e in entries):
             continue
-        term = wedge_all(entries)
-        out = out + term if permutation_sign(perm) > 0 else out - term
+        term = wedge_all(entries) if entries else ExteriorForm.scalar(n, 1.0)
+        out = out + term if sign > 0 else out - term
     return out
 
 
@@ -309,7 +307,7 @@ class GriffithsReport:
 def griffiths_energy(c: CurvaturePoint, v: Sequence[complex],
                      tau: Sequence[complex]) -> float:
     """G(v, tau); real by Hermitian symmetry of the point."""
-    t = coefficients(c)
+    t = c.t
     v = np.asarray(list(v), dtype=complex)
     tau = np.asarray(list(tau), dtype=complex)
     val = complex(np.einsum("abjk,a,b,j,k->", t, v.conj(), v, tau, tau.conj()))
@@ -328,7 +326,7 @@ def griffiths_certificate(c: CurvaturePoint,
     lambda_min on unit (v, tau), no energy lies below -tol.  None means
     neither test holds; the point may still be Griffiths semipositive.
     """
-    t = coefficients(c)
+    t = c.t
     rn = c.r * c.n
     for kind, axes in ((DUAL_NAKANO, (0, 2, 1, 3)), (NAKANO, (0, 3, 1, 2))):
         M = t.transpose(axes).reshape(rn, rn)
@@ -357,7 +355,7 @@ def griffiths_minimum(c: CurvaturePoint, budget: SearchBudget = SearchBudget()) 
     values are true energies: a semipositive point can never produce a value
     below its true minimum, and any reported negative value replays.
     """
-    t = coefficients(c)
+    t = c.t
     r, n = c.r, c.n
     s = budget.random_starts
     if s <= 0:

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import (CurvaturePoint, coefficients, from_coefficients,
-                        griffiths_energy)
+from .curvature import CurvaturePoint, from_coefficients, griffiths_energy
 from .exterior import ExteriorForm, hermitian_one_one, one_one_matrix
 
 
@@ -126,7 +125,7 @@ def epsilon_perturb(c: CurvaturePoint, omega: ExteriorForm, eps: float) -> Curva
     if omega.n != c.n:
         raise ValueError("omega lives on the wrong C^n")
     m = one_one_matrix(omega)
-    t = coefficients(c)
+    t = c.t.copy()  # c.t is read-only and shared
     for a in range(c.r):
         t[a, a] += eps * m
     return from_coefficients(t)
@@ -141,7 +140,7 @@ def convex_combine(points: list[CurvaturePoint], weights: list[float]) -> Curvat
     n, r = points[0].n, points[0].r
     if any(p.n != n or p.r != r for p in points):
         raise ValueError("points have mismatched shapes")
-    t = sum(w * coefficients(p) for w, p in zip(weights, points))
+    t = sum(w * p.t for w, p in zip(weights, points))
     return from_coefficients(t)
 
 
@@ -152,7 +151,7 @@ def indefinite_control(n: int, r: int, seed: int = 0) -> tuple[CurvaturePoint, d
     witness is exactly -1 by construction.
     """
     base = dual_nakano_sample(n, r, seed=seed, scale=0.6)
-    t = coefficients(base)
+    t = base.t.copy()
     # force t[0,0,0,0] = -1, keeping Hermitian symmetry (real diagonal entry)
     t[0, 0, 0, 0] = -1.0
     point = from_coefficients(t)

@@ -12,8 +12,8 @@ import pytest
 
 from chernweil.batch import _griffiths_fields
 from chernweil.curvature import (DUAL_NAKANO, NAKANO, NEGATIVE_WITNESS,
-                                 SEMIPOSITIVE, CurvaturePoint, SearchBudget,
-                                 chern_form, chern_form_oracle, coefficients,
+                                 SEMIPOSITIVE, SearchBudget,
+                                 chern_form, chern_form_oracle,
                                  from_coefficients, generalized_schur_form,
                                  griffiths_certificate, griffiths_energy,
                                  griffiths_minimum, schur_form, segre_form,
@@ -51,20 +51,25 @@ def test_round_trip_coefficients():
     t = hermitian_tensor(3, 2, RNG)
     c = from_coefficients(t)
     assert c.n == 3 and c.r == 2
-    assert np.allclose(coefficients(c), t)
+    assert np.allclose(c.t, t)
+    for a in range(2):
+        for b in range(2):
+            assert c.entry(a, b).bidegree == (1, 1)
+            assert np.array_equal(c.entry(a, b).array, t[a, b])
 
 
 def test_from_coefficients_rejects_bad_shape():
-    with pytest.raises(ValueError):
-        from_coefficients(np.zeros((2, 3, 2, 2)))
+    for shape in ((2, 3, 2, 2), (2, 2, 2, 3), (2, 2, 2), (1, 1, 0, 0)):
+        with pytest.raises(ValueError):
+            from_coefficients(np.zeros(shape))
 
 
-def test_entries_must_be_one_one_forms():
-    good = ExteriorForm.basis(2, (1,), (1,))
-    bad = ExteriorForm.scalar(2, 1.0)
-    with pytest.raises(ValueError):
-        CurvaturePoint(2, 1, ((bad,),))
-    CurvaturePoint(2, 1, ((good,),))
+def test_from_coefficients_rejects_non_finite_entries():
+    for value in (np.nan, np.inf):
+        t = np.zeros((2, 2, 2, 2), dtype=complex)
+        t[1, 0, 1, 0] = value
+        with pytest.raises(ValueError, match=r"\(1, 0, 1, 0\) is not finite"):
+            from_coefficients(t)
 
 
 def test_validate_accepts_hermitian_tensors():
@@ -343,7 +348,7 @@ def test_certificate_bounds_every_energy_from_below():
 
 def test_certificate_dual_nakano_sample_is_dual_nakano_only():
     c = dual_nakano_sample(3, 3, seed=7)
-    m1, m2 = certificate_min_eigs(coefficients(c))
+    m1, m2 = certificate_min_eigs(c.t)
     assert abs(m1) < 1e-12
     assert m2 < -8.0  # -8.82: A ^ conj(A)^t is not Nakano
     kind, lam = griffiths_certificate(c)
@@ -352,7 +357,7 @@ def test_certificate_dual_nakano_sample_is_dual_nakano_only():
 
 
 def test_certificate_partial_transpose_is_nakano_only():
-    t = coefficients(dual_nakano_sample(3, 3, seed=7)).transpose(0, 1, 3, 2)
+    t = dual_nakano_sample(3, 3, seed=7).t.transpose(0, 1, 3, 2)
     c = from_coefficients(t)
     assert validate(c) == []
     m1, m2 = certificate_min_eigs(t)
@@ -368,7 +373,7 @@ def test_certificate_fails_on_choi_maps_and_the_search_decides(abc, mins):
     # Griffiths semipositive, but neither Nakano nor dual Nakano
     c = from_coefficients(choi_tensor(*abc))
     assert validate(c) == []
-    assert certificate_min_eigs(coefficients(c)) == pytest.approx(mins, abs=1e-3)
+    assert certificate_min_eigs(c.t) == pytest.approx(mins, abs=1e-3)
     assert griffiths_certificate(c) is None
     fields = _griffiths_fields(c, SearchBudget())
     assert fields["griffiths_certificate"] == "search"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from chernweil.curvature import (NEGATIVE_WITNESS, SearchBudget, chern_form,
-                                 coefficients, griffiths_energy,
+                                 from_coefficients, griffiths_energy,
                                  griffiths_minimum, validate)
 from chernweil.exterior import ExteriorForm, hermitian_one_one, wedge
 from chernweil.generators import (GeneratorSpec, convex_combine,
@@ -54,16 +54,16 @@ def test_dual_nakano_is_valid_and_semipositive():
 
 
 def test_dual_nakano_is_deterministic():
-    a = coefficients(dual_nakano_sample(3, 2, seed=9))
-    b = coefficients(dual_nakano_sample(3, 2, seed=9))
-    other = coefficients(dual_nakano_sample(3, 2, seed=10))
+    a = dual_nakano_sample(3, 2, seed=9).t
+    b = dual_nakano_sample(3, 2, seed=9).t
+    other = dual_nakano_sample(3, 2, seed=10).t
     assert np.array_equal(a, b)
     assert not np.allclose(a, other)
 
 
 def test_dual_nakano_scale_is_quadratic():
-    a = coefficients(dual_nakano_sample(2, 2, seed=3, scale=1.0))
-    b = coefficients(dual_nakano_sample(2, 2, seed=3, scale=2.0))
+    a = dual_nakano_sample(2, 2, seed=3, scale=1.0).t
+    b = dual_nakano_sample(2, 2, seed=3, scale=2.0).t
     assert np.allclose(b, 4.0 * a)
 
 
@@ -158,9 +158,24 @@ def test_psd_tensor_rejects_bad_input():
 def test_epsilon_perturb_identity_at_zero():
     c = dual_nakano_sample(2, 2, seed=1)
     again = epsilon_perturb(c, standard_omega(2), 0.0)
-    assert np.array_equal(coefficients(c), coefficients(again))
+    assert np.array_equal(c.t, again.t)
     with pytest.raises(ValueError):
         epsilon_perturb(c, standard_omega(2), -0.1)
+
+
+def test_points_share_no_writable_state():
+    t = dual_nakano_sample(2, 2, seed=1).t.copy()
+    c = from_coefficients(t)
+    t[0, 0, 0, 0] += 1.0  # the point holds its own copy
+    before = c.t.copy()
+    epsilon_perturb(c, standard_omega(2), 0.5)
+    convex_combine([c, c], [0.5, 2.0])
+    assert np.array_equal(c.t, before)
+    with pytest.raises(ValueError):
+        c.t[0, 0, 0, 0] = 2.0
+    point, _ = indefinite_control(2, 2, seed=4)
+    assert dual_nakano_sample(2, 2, seed=4, scale=0.6).t[0, 0, 0, 0] != -1.0
+    assert point.t[0, 0, 0, 0] == -1.0
 
 
 def test_epsilon_perturb_shifts_energy_monotonically():
@@ -241,18 +256,18 @@ def test_sample_dispatch_all_kinds():
         assert c.n == 2 and c.r == 2
         assert validate(c) == []
         again = sample(spec)
-        assert np.array_equal(coefficients(c), coefficients(again))
+        assert np.array_equal(c.t, again.t)
 
 
 def test_sample_seeds_decorrelate():
     for kind in GeneratorSpec.KINDS:
         a = sample(GeneratorSpec(kind, 2, 2, seed=1))
         b = sample(GeneratorSpec(kind, 2, 2, seed=2))
-        assert not np.allclose(coefficients(a), coefficients(b))
+        assert not np.allclose(a.t, b.t)
 
 
 def test_sample_indefinite_matches_control():
     spec = GeneratorSpec("indefinite", 3, 2, seed=6)
     a = sample(spec)
     b = indefinite_control(3, 2, seed=6)[0]
-    assert np.array_equal(coefficients(a), coefficients(b))
+    assert np.array_equal(a.t, b.t)
