@@ -14,7 +14,7 @@ from .polynomial import (ExactDivisionError, SymPoly, antisymmetrize,
                          elementary_symmetric, vandermonde)
 from .schur import (FlagType, complete_flag_oracle, conjugate_partition,
                     dp_nu, dp_pushforward, enumerate_partitions,
-                    expand_in_roots, forms_sign_adjust, gschur_in_chern,
+                    expand_in_roots, gschur_in_chern,
                     gschur_in_segre, is_partition, jacobi_trudi_check,
                     projective_oracle, schur_in_chern, schur_product_expand,
                     segre_in_chern, segre_to_chern)

@@ -39,6 +39,9 @@ from .polynomial import SymPoly, _compositions, divide_exact
 SCHEMA_VERSION = 1
 REPORT_SCHEMA_VERSION = 2
 WORKERS_ENV = "CHERNWEIL_WORKERS"
+# largest coefficient tensor a curvature document may ask for (160 MB of
+# complex entries); larger ones are rejected before anything is allocated
+MAX_TENSOR_ENTRIES = 10 ** 7
 
 POSITIVE_KINDS = ("dual_nakano", "line_sum", "psd_tensor", "convex_mix")
 
@@ -136,6 +139,9 @@ def curvature_from_json(obj: dict) -> CurvaturePoint:
         raise ValueError(f"theta must be an {r} x {r} nested list")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if r * r * n * n > MAX_TENSOR_ENTRIES:
+        raise ValueError(f"n = {n}, r = {r} need r*r*n*n = {r * r * n * n} "
+                         f"coefficients, above the limit {MAX_TENSOR_ENTRIES}")
     t = np.zeros((r, r, n, n), dtype=complex)
     for a in range(r):
         for b in range(r):
@@ -245,8 +251,9 @@ def _c2_sample(args) -> dict:
     point = sample(spec)
     budget = cfg.budget(seed)
     c2 = chern_form(point, 2)
-    minor = _c2_minor_identity(point)
-    gap = _relative_gap(c2, minor)
+    # the oracle's principal-minor sum at k = 2 is the minor identity
+    # c_2 = -(1/4pi^2) sum_{a<b} (Theta_aa ^ Theta_bb - Theta_ab ^ Theta_ba)
+    gap = _relative_gap(c2, chern_form_oracle(point, 2))
     verdict = check_positive(c2, budget)
     rec = {
         "index": index,
@@ -262,17 +269,6 @@ def _c2_sample(args) -> dict:
     if verdict.status is Status.REFUTED:
         rec["form"] = form_to_json(c2)
     return rec
-
-
-def _c2_minor_identity(point: CurvaturePoint) -> ExteriorForm:
-    """c_2 as -(1/4pi^2) sum_{a<b} (Theta_aa ^ Theta_bb - Theta_ab ^ Theta_ba)."""
-    n, r = point.n, point.r
-    acc = ExteriorForm.zero(n, 2, 2)
-    for a in range(r):
-        for b in range(a + 1, r):
-            acc = acc + (point.entry(a, a).wedge(point.entry(b, b))
-                         - point.entry(a, b).wedge(point.entry(b, a)))
-    return acc * (-1.0 / (4.0 * np.pi ** 2))
 
 
 def _inequality_sample(args) -> dict:

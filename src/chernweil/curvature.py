@@ -15,6 +15,13 @@ Faddeev-LeVerrier recursion on the dense coefficient arrays of the whole
 matrix; :func:`chern_form_oracle` sums Leibniz determinants of the principal
 minors, one :class:`ExteriorForm` wedge at a time.
 
+Schur forms hold no determinant code of their own.  The exact layer owns
+the Jacobi-Trudi determinants (:mod:`chernweil.schur`), and this module
+evaluates them on forms: :func:`schur_form` puts the Chern forms into the
+c-alphabet polynomial, :func:`generalized_schur_form` the Segre forms into
+the s-alphabet one.  By Jacobi-Trudi duality the two agree, so comparing
+them checks the form-level Segre recursion of :func:`segre_form`.
+
 The Griffiths energy of the point is the real biquadratic
 
     G(v, tau) = sum_{a,b,j,k}  t[a,b,j,k] * conj(v_a) v_b tau_j conj(tau_k)
@@ -52,7 +59,8 @@ from typing import Sequence
 import numpy as np
 
 from .exterior import ExteriorForm, _merge_columns, wedge_all
-from .polynomial import signed_permutations
+from .polynomial import SymPoly, signed_permutations
+from .schur import gschur_in_segre, is_partition, schur_in_chern
 
 TWO_PI = 2.0 * math.pi
 
@@ -174,12 +182,16 @@ def chern_form_oracle(c: CurvaturePoint, k: int) -> ExteriorForm:
         raise ValueError(f"k = {k} outside 0..{c.r}")
     if k > c.n:
         return ExteriorForm.zero(c.n, c.n, c.n)
-    s = 1j / (2.0 * math.pi)
-    m = [[c.entry(a, b) * s for b in range(c.r)] for a in range(c.r)]
+    if k == 0:
+        return ExteriorForm.scalar(c.n, 1.0)
+    theta = [[c.entry(a, b) for b in range(c.r)] for a in range(c.r)]
     trace = ExteriorForm.zero(c.n, k, k)
     for S in itertools.combinations(range(c.r), k):
-        trace = trace + _det_mixed([[m[a][b] for b in S] for a in S], c.n, k)
-    return trace
+        for perm, sign in signed_permutations(k):
+            term = wedge_all(theta[a][S[j]] for a, j in zip(S, perm))
+            trace = trace + term if sign > 0 else trace - term
+    # each term is a product of k entries, so the scale comes out as a power
+    return trace * (1j / TWO_PI) ** k
 
 
 def total_chern_forms(c: CurvaturePoint) -> list[ExteriorForm]:
@@ -204,41 +216,52 @@ def segre_form(c: CurvaturePoint, k: int,
     return s[k]
 
 
+def _evaluate(poly: SymPoly, forms: Sequence[ExteriorForm], n: int,
+              weight: int) -> ExteriorForm:
+    """poly with the (l,l)-form forms[l] put in for its variable l-1.
+
+    poly is weight-homogeneous of the given weight when variable l-1 has
+    weight l, so every monomial is a (weight, weight)-form; variables past
+    the end of ``forms`` are zero.
+    """
+    out = ExteriorForm.zero(n, weight, weight)
+    for e, coeff in poly.terms.items():
+        if any(x and i + 1 >= len(forms) for i, x in enumerate(e)):
+            continue
+        factors = [forms[i + 1] for i, x in enumerate(e) for _ in range(x)]
+        term = wedge_all(factors) if factors else ExteriorForm.scalar(n, 1.0)
+        out = out + coeff * term
+    return out
+
+
 def schur_form(c: CurvaturePoint, sigma: Sequence[int],
                chern: Sequence[ExteriorForm] | None = None) -> ExteriorForm:
-    """Schur form det(c_{sigma_i + j - i}) for a partition sigma."""
+    """Schur form det(c_{sigma_i + j - i}) for a partition sigma.
+
+    The determinant is :func:`~chernweil.schur.schur_in_chern`, evaluated on
+    the Chern forms; the zero top-degree form when the weight exceeds n.
+    """
     sigma = tuple(int(x) for x in sigma)
-    if any(sigma[i] < sigma[i + 1] for i in range(len(sigma) - 1)) or \
-            (sigma and sigma[-1] < 0):
+    if not is_partition(sigma):
         raise ValueError(f"{sigma} is not a partition")
-    if chern is None:
-        chern = total_chern_forms(c)
-    k = len(sigma)
     weight = sum(sigma)
     if weight > c.n:
         return ExteriorForm.zero(c.n, c.n, c.n)
-
-    def entry(i, j):  # 1-based
-        l = sigma[i - 1] + j - i
-        if l == 0:
-            return ExteriorForm.scalar(c.n, 1.0)
-        if l < 0 or l >= len(chern) or l > c.n:
-            return None
-        return chern[l]
-
-    mat = [[entry(i, j) for j in range(1, k + 1)] for i in range(1, k + 1)]
-    return _det_mixed(mat, c.n, weight)
+    if chern is None:
+        chern = total_chern_forms(c)
+    return _evaluate(schur_in_chern(sigma, c.r), chern, c.n, weight)
 
 
 def generalized_schur_form(c: CurvaturePoint, sigma: Sequence[int],
                            segre: Sequence[ExteriorForm] | None = None) -> ExteriorForm:
     """det(s_{sigma_i + j - i}) for an arbitrary integer sequence sigma.
 
-    Entries s_l vanish for l outside [0, n]; the result is the zero top-degree
-    form when the total weight exceeds n.
+    The determinant is :func:`~chernweil.schur.gschur_in_segre` cut at
+    s_n, evaluated on the Segre forms ``segre`` (by default
+    :func:`segre_form` for every degree); the zero top-degree form when the
+    total weight exceeds n.
     """
     sigma = tuple(int(x) for x in sigma)
-    k = len(sigma)
     weight = sum(sigma)
     if weight < 0:
         raise ValueError(f"total weight {weight} is negative")
@@ -247,32 +270,7 @@ def generalized_schur_form(c: CurvaturePoint, sigma: Sequence[int],
     if segre is None:
         chern = total_chern_forms(c)
         segre = [segre_form(c, l, chern) for l in range(c.n + 1)]
-
-    def entry(i, j):  # 1-based
-        l = sigma[i - 1] + j - i
-        if l == 0:
-            return ExteriorForm.scalar(c.n, 1.0)
-        if l < 0 or l > c.n:
-            return None
-        return segre[l]
-
-    mat = [[entry(i, j) for j in range(1, k + 1)] for i in range(1, k + 1)]
-    return _det_mixed(mat, c.n, weight)
-
-
-def _det_mixed(mat, n: int, weight: int) -> ExteriorForm:
-    """Leibniz determinant of a matrix of even forms; None entries are zero.
-
-    The empty matrix has determinant 1.
-    """
-    out = ExteriorForm.zero(n, weight, weight)
-    for perm, sign in signed_permutations(len(mat)):
-        entries = [row[j] for row, j in zip(mat, perm)]
-        if any(e is None for e in entries):
-            continue
-        term = wedge_all(entries) if entries else ExteriorForm.scalar(n, 1.0)
-        out = out + term if sign > 0 else out - term
-    return out
+    return _evaluate(gschur_in_segre(sigma, truncate=c.n), segre, c.n, weight)
 
 
 # ---------------------------------------------------------------------------

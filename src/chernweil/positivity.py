@@ -204,8 +204,8 @@ def _square_coords(ws: np.ndarray) -> np.ndarray:
 
 
 def check_strongly_positive(u: ExteriorForm, budget: SearchBudget = SearchBudget(),
-                            dictionary: Sequence[Sequence[Sequence[complex]]] | None = None,
-                            dictionary_size: int | None = None) -> PositivityVerdict:
+                            dictionary: Sequence[Sequence[Sequence[complex]]] | None = None
+                            ) -> PositivityVerdict:
     """Strong positivity via NNLS against a dictionary of decomposable squares.
 
     Certified when the fit reproduces u with small relative residual; the
@@ -246,10 +246,8 @@ def check_strongly_positive(u: ExteriorForm, budget: SearchBudget = SearchBudget
                                  detail="Hermitian-positive dual witness")
 
     if dictionary is None:
-        dim = comb(n, p) ** 2
-        size = dictionary_size if dictionary_size is not None else 20 * dim
         rng = np.random.default_rng(np.random.SeedSequence(budget.rng_seed))
-        ws = _random_factors(rng, size, p, n)
+        ws = _random_factors(rng, 20 * comb(n, p) ** 2, p, n)
     else:
         ws = np.asarray(dictionary, dtype=complex)
         if ws.ndim != 3 or ws.shape[0] == 0 or ws.shape[1:] != (p, n):

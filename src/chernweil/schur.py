@@ -10,6 +10,11 @@ Three interchangeable alphabets appear, always documented per function:
 * x-alphabet: slots 0..r-1 are the Chern roots of the dual bundle, so that
   s_k = h_k(x) and c_k = e_k(-x) = (-1)**k e_k(x).
 
+This module owns the Jacobi-Trudi determinants: :func:`schur_in_chern` and
+:func:`gschur_in_segre` are the only place they are expanded, and
+:mod:`chernweil.curvature` evaluates the same polynomials on Chern and
+Segre forms.
+
 The flag-bundle push-forward follows the determinantal rule: a monomial
 xi^lambda on the flag bundle of type rho pushes down to the generalized
 Schur class of the reversed shifted sequence (lambda - nu), with nu the
@@ -128,13 +133,16 @@ def gschur_in_segre(sigma: Sequence[int], truncate: int | None = None) -> SymPol
 
     Result lives in the s-alphabet sized to the largest index that can occur.
     With ``truncate`` set, s_l for l > truncate is treated as zero (the
-    dimension cutoff); otherwise all positive s_l stay free variables.
+    dimension cutoff) and the alphabet stops at s_truncate; otherwise all
+    positive s_l stay free variables.
     """
     sigma = tuple(int(x) for x in sigma)
     k = len(sigma)
     if k == 0:
         return SymPoly.one(1)
     top = max(sigma[i] + k - (i + 1) for i in range(k))
+    if truncate is not None:
+        top = min(top, truncate)
     nvars = max(top, 1)
 
     def entry(i, j):  # 1-based
@@ -254,14 +262,6 @@ def dp_pushforward(p: SymPoly, flag: FlagType) -> SymPoly:
         shifted = tuple(l - v for l, v in zip(lam, nu))[::-1]
         out = out + coeff * gschur_in_segre(shifted)
     return out
-
-
-def forms_sign_adjust(f_degree: int, flag: FlagType, k: int) -> int:
-    """Sign translating a degree-(d+k) fiber-positive monomial to class level."""
-    d = flag.relative_dimension
-    if f_degree != d + k:
-        raise ValueError(f"degree {f_degree} is not {d} + {k}")
-    return -1 if f_degree % 2 else 1
 
 
 def complete_flag_oracle(p: SymPoly, r: int) -> SymPoly:

@@ -4,6 +4,8 @@ import csv
 import importlib.util
 import json
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,8 +14,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from chernweil.batch import (REPORT_SCHEMA_VERSION, SCHEMA_VERSION, RunConfig,
-                             check_form_file, child_seed,
+from chernweil.batch import (MAX_TENSOR_ENTRIES, REPORT_SCHEMA_VERSION,
+                             SCHEMA_VERSION, RunConfig, check_form_file, child_seed,
                              curvature_from_json, curvature_to_json,
                              form_from_json, form_to_json, replay_witness,
                              report_json, verify_c2, verify_inequalities,
@@ -119,6 +121,18 @@ def test_benchmark_spans_name_live_attributes():
     missing = [(getattr(owner, "__name__", owner), attr)
                for owner, attr, _ in workloads.SPANS if attr not in owner.__dict__]
     assert missing == []
+
+
+def test_traced_benchmark_run_measures_every_metric():
+    # a span that stops firing leaves a listed metric unmeasured, and the
+    # traced run then fails; it writes only under perfbench/_work/
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "main-n4", "--seed", "3",
+         "--seconds", "20", "--trace", "1"],
+        cwd=root, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +380,17 @@ def test_cli_errors_exit_two(tmp_path, capsys):
     assert main(["check-form", str(bad)]) == 2
     assert main(["verify-main", "--rank", "2", "--samples", "1",
                  "--workers", "1"]) == 2
+
+
+def test_oversized_curvature_document_exits_two(tmp_path, capsys):
+    # rejected from n and r alone, before the tensor is allocated
+    doc = {"schema_version": SCHEMA_VERSION, "n": 100_000_000, "r": 1,
+           "theta": [[{"entries": []}]]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check-form", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "n = 100000000, r = 1" in err and str(MAX_TENSOR_ENTRIES) in err
 
 
 def test_cli_rejects_unknown_generator(capsys):

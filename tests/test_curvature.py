@@ -6,6 +6,7 @@ valid curvature tensors.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from chernweil.curvature import (DUAL_NAKANO, NAKANO, NEGATIVE_WITNESS,
                                  total_chern_forms, validate)
 from chernweil.exterior import ExteriorForm, volume_coefficient, wedge
 from chernweil.generators import dual_nakano_sample, indefinite_control
+from chernweil.schur import conjugate_partition
 
 RNG = np.random.default_rng(20240812)
 TOL = 1e-12
@@ -212,14 +214,39 @@ def test_generalized_schur_fixtures():
         generalized_schur_form(c, (-2, 1))
 
 
+def partitions(w, largest=None):
+    """Every partition of w, parts in decreasing order."""
+    if w == 0:
+        yield ()
+        return
+    for part in range(min(w, largest or w), 0, -1):
+        for rest in partitions(w - part, part):
+            yield (part,) + rest
+
+
 def test_form_level_jacobi_trudi():
-    c = from_coefficients(hermitian_tensor(4, 3, RNG))
-    for sigma in [(2, 1), (2, 2), (1, 1, 1), (3, 1)]:
-        sign = -1.0 if sum(sigma) % 2 else 1.0
-        conj = tuple(sum(1 for x in sigma if x > i) for i in range(max(sigma)))
-        lhs = generalized_schur_form(c, sigma)
-        rhs = schur_form(c, conj) * sign
-        assert close(lhs, rhs, 1e-10)
+    # the s-alphabet determinant on the Segre forms against the c-alphabet
+    # one on the Chern forms, for every partition that fits the dimension
+    for n in range(1, 6):
+        for r in range(1, 5):
+            c = from_coefficients(hermitian_tensor(n, r, RNG))
+            chern = total_chern_forms(c)
+            segre = [segre_form(c, k, chern) for k in range(n + 1)]
+            for w in range(n + 1):
+                for sigma in partitions(w):
+                    sign = -1.0 if w % 2 else 1.0
+                    lhs = generalized_schur_form(c, sigma, segre)
+                    rhs = schur_form(c, conjugate_partition(sigma), chern) * sign
+                    assert close(lhs, rhs, 1e-10), (n, r, sigma)
+
+
+def test_generalized_schur_far_indices_vanish_promptly():
+    # s_l with l far above n must not size the exact alphabet
+    c = from_coefficients(hermitian_tensor(3, 3, RNG))
+    start = time.perf_counter()
+    u = generalized_schur_form(c, (1_000_000_000, 1, -999_999_998))
+    assert u.bidegree == (3, 3) and u.is_zero()
+    assert time.perf_counter() - start < 5.0
 
 
 def test_proof_identity_forms_rank3():

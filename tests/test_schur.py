@@ -12,7 +12,7 @@ import pytest
 from chernweil.polynomial import SymPoly, antisymmetrize, divide_exact, vandermonde
 from chernweil.schur import (FlagType, complete_flag_oracle, conjugate_partition,
                              dp_nu, dp_pushforward, enumerate_partitions,
-                             expand_in_roots, forms_sign_adjust, gschur_in_chern,
+                             expand_in_roots, gschur_in_chern,
                              gschur_in_segre, is_partition, jacobi_trudi_check,
                              projective_oracle, schur_in_chern,
                              schur_product_expand, segre_in_chern, segre_to_chern)
@@ -135,6 +135,13 @@ def test_gschur_examples_by_hand():
     assert gschur_in_segre((-1, 1)) == SymPoly.const(1, -1)
 
 
+def test_gschur_truncation_bounds_the_alphabet():
+    # (1,4) cut at s_3: det [[s1, s2], [s3, 0]] = -s2 s3, in three slots
+    s2, s3 = SymPoly.variable(1, 3), SymPoly.variable(2, 3)
+    got = gschur_in_segre((1, 4), truncate=3)
+    assert got.nvars == 3 and got == -(s2 * s3)
+
+
 def test_proof_identity_rank3():
     got = segre_to_chern(gschur_in_segre((-2, 1, 4)), 3)
     assert got == c_var(1, 3) * c_var(2, 3) - c_var(3, 3)
@@ -220,15 +227,6 @@ def test_pushforward_degree_bookkeeping():
             assert segre_weight(out) == sum(lam) - d
     # below the fiber dimension everything dies
     assert dp_pushforward(SymPoly.monomial((1, 1, 0)), f).is_zero()
-
-
-def test_forms_sign_adjust():
-    assert forms_sign_adjust(6, FlagType.complete(3), 3) == 1
-    f2 = FlagType.complete(2)
-    assert forms_sign_adjust(1, f2, 0) == -1
-    assert forms_sign_adjust(2, f2, 1) == 1
-    with pytest.raises(ValueError):
-        forms_sign_adjust(5, FlagType.complete(3), 3)
 
 
 def test_complete_flag_oracle_frozen():
