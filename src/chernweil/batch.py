@@ -31,7 +31,7 @@ from .positivity import (Status, check_hermitian_positive, check_positive,
                          check_strongly_positive)
 from .schur import (FlagType, complete_flag_oracle, dp_pushforward,
                     enumerate_partitions, expand_in_roots, jacobi_trudi_check,
-                    projective_oracle, segre_to_chern)
+                    projective_oracle, segre_to_chern, strip_trailing_zeros)
 from .polynomial import SymPoly, _compositions, divide_exact
 
 # the curvature wire format and the battery reports are versioned apart, so
@@ -42,6 +42,9 @@ WORKERS_ENV = "CHERNWEIL_WORKERS"
 # largest coefficient tensor a curvature document may ask for (160 MB of
 # complex entries); larger ones are rejected before anything is allocated
 MAX_TENSOR_ENTRIES = 10 ** 7
+# largest determinant a form spec may ask for (sigma without its trailing
+# zeros, or the k of chern_oracle): both walk all k! permutations
+MAX_DETERMINANT_SIZE = 8
 
 POSITIVE_KINDS = ("dual_nakano", "line_sum", "psd_tensor", "convex_mix")
 
@@ -560,6 +563,18 @@ def _int_list(value) -> tuple[int, ...]:
     return tuple(int(x) for x in value)
 
 
+def _check_determinant_size(name: str, size: int) -> None:
+    if size > MAX_DETERMINANT_SIZE:
+        raise ValueError(f"form field {name!r} asks for a {size} x {size} "
+                         f"determinant, above the limit {MAX_DETERMINANT_SIZE}")
+
+
+def _sigma_field(spec: dict) -> tuple[int, ...]:
+    sigma = _form_field(spec, "sigma", _int_list)
+    _check_determinant_size("sigma", len(strip_trailing_zeros(sigma)))
+    return sigma
+
+
 CHECKS = ("positive", "hermitian_positive", "strongly_positive")
 
 
@@ -579,13 +594,15 @@ def check_form_file(cfg: RunConfig) -> dict:
     if kind == "chern":
         form = chern_form(point, _form_field(spec, "k", int, 1))
     elif kind == "chern_oracle":
-        form = chern_form_oracle(point, _form_field(spec, "k", int, 1))
+        k = _form_field(spec, "k", int, 1)
+        _check_determinant_size("k", k)
+        form = chern_form_oracle(point, k)
     elif kind == "segre":
         form = segre_form(point, _form_field(spec, "k", int, 1))
     elif kind == "schur":
-        form = schur_form(point, _form_field(spec, "sigma", _int_list))
+        form = schur_form(point, _sigma_field(spec))
     elif kind == "generalized_schur":
-        form = generalized_schur_form(point, _form_field(spec, "sigma", _int_list))
+        form = generalized_schur_form(point, _sigma_field(spec))
     else:
         raise ValueError(f"unknown form kind {kind!r}")
     record = {"form_kind": kind, "form": form_to_json(form)}

@@ -278,7 +278,6 @@ def generalized_schur_form(c: CurvaturePoint, sigma: Sequence[int],
 
 SEMIPOSITIVE = "semipositive_up_to_tol"
 NEGATIVE_WITNESS = "negative_witness"
-INCONCLUSIVE = "inconclusive"
 DUAL_NAKANO = "dual_nakano"
 NAKANO = "nakano"
 
@@ -291,6 +290,13 @@ class SearchBudget:
     local_iters: int = 200
     tol: float = 1e-9
     rng_seed: int = 0
+
+    def __post_init__(self):
+        # a search with no starts or no steps would certify vacuously
+        for name in ("random_starts", "local_iters"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -356,10 +362,6 @@ def griffiths_minimum(c: CurvaturePoint, budget: SearchBudget = SearchBudget()) 
     t = c.t
     r, n = c.r, c.n
     s = budget.random_starts
-    if s <= 0:
-        zero_v = np.zeros(r, dtype=complex)
-        zero_t = np.zeros(n, dtype=complex)
-        return GriffithsReport(math.nan, zero_v, zero_t, INCONCLUSIVE, budget.tol)
     rng = np.random.default_rng(np.random.SeedSequence(budget.rng_seed))
     v = rng.standard_normal((s, r)) + 1j * rng.standard_normal((s, r))
     tau = rng.standard_normal((s, n)) + 1j * rng.standard_normal((s, n))

@@ -31,8 +31,7 @@ w_1 ^ ... ^ w_p.
 
 Key entry points: :class:`ExteriorForm`, :func:`wedge`, :func:`conjugate` is
 a method, :func:`volume_coefficient`, :func:`evaluate_pairing`,
-:func:`restrict`, :func:`decomposable`, :func:`hermitian_gram`,
-:func:`plucker`.
+:func:`decomposable`, :func:`hermitian_gram`, :func:`plucker`.
 """
 
 from __future__ import annotations
@@ -189,10 +188,9 @@ class ExteriorForm:
     Treat instances as immutable; all operations return new forms.
     """
 
-    __slots__ = ("n", "p", "q", "array", "annihilated")
+    __slots__ = ("n", "p", "q", "array")
 
-    def __init__(self, n: int, p: int, q: int,
-                 coeffs: Mapping | None = None, *, annihilated: bool = False):
+    def __init__(self, n: int, p: int, q: int, coeffs: Mapping | None = None):
         _check_bidegree(n, p, q)
         array = _zeros(n, p, q)
         if coeffs:
@@ -210,20 +208,19 @@ class ExteriorForm:
         self.p = int(p)
         self.q = int(q)
         self.array = array
-        self.annihilated = bool(annihilated)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _from_array(cls, n: int, p: int, q: int, array: np.ndarray,
-                    annihilated: bool = False) -> "ExteriorForm":
+    def _from_array(cls, n: int, p: int, q: int,
+                    array: np.ndarray) -> "ExteriorForm":
         """Unchecked constructor for internal results.
 
         ``array`` must be complex with shape (C(n,p), C(n,q)); it is taken
         over, not copied.
         """
         u = object.__new__(cls)
-        u.n, u.p, u.q, u.array, u.annihilated = n, p, q, array, annihilated
+        u.n, u.p, u.q, u.array = n, p, q, array
         return u
 
     @classmethod
@@ -305,7 +302,7 @@ class ExteriorForm:
         """Exterior product, canonical basis order restored with Koszul signs.
 
         Bidegree overflow (p or q beyond n) is not an error: the product is
-        the zero form with bidegree clamped to n, flagged ``annihilated``.
+        the zero form with bidegree clamped to n.
         """
         if self.n != other.n:
             raise DimensionMismatch(f"C^{self.n} vs C^{other.n}")
@@ -314,7 +311,7 @@ class ExteriorForm:
         q = self.q + other.q
         if p > n or q > n:
             p, q = min(p, n), min(q, n)
-            return ExteriorForm._from_array(n, p, q, _zeros(n, p, q), True)
+            return ExteriorForm._from_array(n, p, q, _zeros(n, p, q))
         rows1, rows2, H = _merge_columns(n, self.p, other.p)
         cols1, cols2, K = _merge_columns(n, self.q, other.q)
         # products of coefficients over index pairs that do not overlap:
@@ -463,50 +460,6 @@ def evaluate_pairing(u: ExteriorForm, vectors: Sequence[Sequence[complex]],
     if abs(val.imag) > max(u._tol(tol), 1e-10 * max(1.0, abs(val))):
         raise NotReal(f"pairing value {val} has non-negligible imaginary part")
     return val.real
-
-
-def _compound(S: np.ndarray, p: int) -> np.ndarray:
-    """Transposed p-th compound of the n x k matrix S: [K, I] = det S[I, K]."""
-    k = S.shape[1]
-    picks = np.array(_basis(k, p), dtype=int).reshape(comb(k, p), p) - 1
-    return plucker(S.T[picks])
-
-
-def pullback(u: ExteriorForm, vectors: Sequence[Sequence[complex]]) -> ExteriorForm:
-    """Pull u back along the map C^k -> C^n sending basis vectors to the columns."""
-    vectors = list(vectors)
-    S = (np.asarray([list(w) for w in vectors], dtype=complex).T
-         if vectors else np.zeros((u.n, 0), dtype=complex))  # n x k
-    if S.ndim != 2 or S.shape[0] != u.n:
-        raise DimensionMismatch("vectors must live in C^n")
-    k = S.shape[1]
-    if u.p > k or u.q > k:
-        p, q = min(u.p, k), min(u.q, k)
-        return ExteriorForm._from_array(k, p, q, _zeros(k, p, q), True)
-    # coefficient at (K, L): sum_{I,J} u_IJ det S[I,K] conj(det S[J,L])
-    out = _compound(S, u.p) @ u.array @ _compound(S, u.q).conj().T
-    return ExteriorForm._from_array(k, u.p, u.q, out)
-
-
-def restrict(u: ExteriorForm, vectors: Sequence[Sequence[complex]],
-             tol: float | None = None) -> float:
-    """Volume coefficient of the restriction of real (p,p) u to span(vectors).
-
-    The p vectors must be linearly independent; they become the basis of the
-    subspace, so the answer matches :func:`evaluate_pairing` on the same
-    tuple (different code path, useful as a cross-check).
-    """
-    p = u.p
-    vectors = list(vectors)
-    W = (np.asarray([list(w) for w in vectors], dtype=complex)
-         if vectors else np.zeros((0, u.n), dtype=complex))
-    if W.shape != (p, u.n):
-        raise DimensionMismatch(f"expected {p} vectors in C^{u.n}")
-    if p and np.linalg.matrix_rank(W) < p:
-        raise ValueError("restriction vectors are linearly dependent")
-    if not u.is_real(tol):
-        raise NotReal("form is not real within tolerance")
-    return volume_coefficient(pullback(u, vectors), tol)
 
 
 @functools.lru_cache(maxsize=None)

@@ -33,8 +33,6 @@ class GeneratorSpec:
     n: int
     r: int
     seed: int
-    scale: float = 1.0
-    inner: int | None = None  # number of columns for dual-Nakano samples
 
     KINDS = ("dual_nakano", "line_sum", "psd_tensor", "convex_mix", "indefinite")
 
@@ -55,11 +53,11 @@ def _random_psd(rng, size: int, rank: int | None = None) -> np.ndarray:
     return B.conj().T @ B
 
 
-def dual_nakano_sample(n: int, r: int, seed: int = 0, inner: int | None = None,
+def dual_nakano_sample(n: int, r: int, seed: int = 0,
                        scale: float = 1.0) -> CurvaturePoint:
     """Theta[a][b] = sum_s A[a,s] ^ conj(A[b,s]) with Gaussian A of (1,0)-forms."""
     rng = _rng(seed)
-    m = inner if inner is not None else max(1, min(n, r))
+    m = max(1, min(n, r))
     a = scale * (rng.standard_normal((r, m, n)) + 1j * rng.standard_normal((r, m, n)))
     # t[a,b,j,k] = sum_s a[a,s,j] conj(a[b,s,k])
     t = np.einsum("asj,bsk->abjk", a, a.conj())
@@ -112,25 +110,6 @@ def psd_tensor(omega: ExteriorForm, P: np.ndarray) -> CurvaturePoint:
     return from_coefficients(t)
 
 
-def epsilon_perturb(c: CurvaturePoint, omega: ExteriorForm, eps: float) -> CurvaturePoint:
-    """Theta + (-i) * eps * omega * Id; shifts the Griffiths energy up.
-
-    For unit arguments the shift is at least eps times the smallest
-    eigenvalue of omega's Hermitian matrix.
-    """
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    if not omega.is_real() or omega.bidegree != (1, 1):
-        raise ValueError("omega must be a real (1,1)-form")
-    if omega.n != c.n:
-        raise ValueError("omega lives on the wrong C^n")
-    m = one_one_matrix(omega)
-    t = c.t.copy()  # c.t is read-only and shared
-    for a in range(c.r):
-        t[a, a] += eps * m
-    return from_coefficients(t)
-
-
 def convex_combine(points: list[CurvaturePoint], weights: list[float]) -> CurvaturePoint:
     """Weighted sum with nonnegative weights; energies combine linearly."""
     if len(points) != len(weights) or not points:
@@ -169,22 +148,22 @@ def sample(spec: GeneratorSpec) -> CurvaturePoint:
     rng = _rng(spec.seed)
     n, r = spec.n, spec.r
     if spec.kind == "dual_nakano":
-        return dual_nakano_sample(n, r, seed=spec.seed, inner=spec.inner,
-                                  scale=spec.scale)
+        return dual_nakano_sample(n, r, seed=spec.seed)
+    # psd draws times the float 1/n (not / n): seeded samples keep their bits
     if spec.kind == "line_sum":
         omegas = []
         for a in range(r):
-            m = _random_psd(rng, n) * (spec.scale / n)
-            m += 0.1 * spec.scale * np.eye(n)  # keep strictly positive
+            m = _random_psd(rng, n) * (1.0 / n)
+            m += 0.1 * np.eye(n)  # keep strictly positive
             omegas.append(hermitian_one_one(m))
         return line_sum(n, omegas)
     if spec.kind == "psd_tensor":
-        m = _random_psd(rng, n) * (spec.scale / n)
+        m = _random_psd(rng, n) * (1.0 / n)
         P = _random_psd(rng, r) / r
         return psd_tensor(hermitian_one_one(m), P)
     if spec.kind == "convex_mix":
         parts = 2 + int(rng.integers(0, 2))
-        pts = [dual_nakano_sample(n, r, seed=spec.seed + 1 + i, scale=spec.scale)
+        pts = [dual_nakano_sample(n, r, seed=spec.seed + 1 + i)
                for i in range(parts)]
         weights = [float(w) for w in rng.random(parts)]
         return convex_combine(pts, weights)

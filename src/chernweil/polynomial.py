@@ -91,9 +91,6 @@ class SymPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def pad(self, nvars: int) -> "SymPoly":
         """Same polynomial viewed in a larger alphabet (extra trailing slots)."""
         if nvars < self.nvars:

@@ -76,7 +76,7 @@ def check_positive(u: ExteriorForm, budget: SearchBudget = SearchBudget()) -> Po
     U = u.array
     phase = ipow(-p * p)
     scale = max(1.0, float(np.max(np.abs(U))))
-    s = max(1, budget.random_starts)
+    s = budget.random_starts
     rng = np.random.default_rng(np.random.SeedSequence(budget.rng_seed))
     ws = rng.standard_normal((s, p, n)) + 1j * rng.standard_normal((s, p, n))
     ws /= np.linalg.norm(ws, axis=2, keepdims=True)

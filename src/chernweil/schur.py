@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Sequence
 
@@ -67,6 +66,19 @@ def enumerate_partitions(k: int, r: int) -> list[tuple[int, ...]]:
     return out
 
 
+def strip_trailing_zeros(sigma: Sequence[int]) -> tuple[int, ...]:
+    """``sigma`` as integers, without its trailing zero parts.
+
+    A trailing zero part gives a Jacobi-Trudi matrix the last row
+    (0, ..., 0, 1), so dropping it leaves the determinant unchanged.
+    """
+    sigma = tuple(int(x) for x in sigma)
+    k = len(sigma)
+    while k and sigma[k - 1] == 0:
+        k -= 1
+    return sigma[:k]
+
+
 def conjugate_partition(sigma: Sequence[int]) -> tuple[int, ...]:
     """Transpose of the Young diagram; trailing zeros are dropped."""
     sigma = [int(x) for x in sigma if x]
@@ -85,10 +97,12 @@ def schur_in_chern(sigma: Sequence[int], r: int) -> SymPoly:
 
     Accepts any partition; entries with index outside [0, r] vanish, so the
     result may be the zero polynomial when the shape does not fit the rank.
+    Trailing zero parts are dropped before the determinant is expanded.
     """
     sigma = tuple(int(x) for x in sigma)
     if not is_partition(sigma):
         raise ValueError(f"{sigma} is not a partition")
+    sigma = strip_trailing_zeros(sigma)
     k = len(sigma)
 
     def entry(i, j):  # 1-based
@@ -134,9 +148,9 @@ def gschur_in_segre(sigma: Sequence[int], truncate: int | None = None) -> SymPol
     Result lives in the s-alphabet sized to the largest index that can occur.
     With ``truncate`` set, s_l for l > truncate is treated as zero (the
     dimension cutoff) and the alphabet stops at s_truncate; otherwise all
-    positive s_l stay free variables.
+    positive s_l stay free variables.  Trailing zero parts are dropped first.
     """
-    sigma = tuple(int(x) for x in sigma)
+    sigma = strip_trailing_zeros(sigma)
     k = len(sigma)
     if k == 0:
         return SymPoly.one(1)
@@ -308,64 +322,3 @@ def projective_oracle(k: int, r: int) -> SymPoly:
         return SymPoly.one(1)
     return SymPoly.variable(k - 1, k)
 
-
-def schur_product_expand(sigma: Sequence[int], tau: Sequence[int],
-                         r: int) -> dict[tuple[int, ...], int]:
-    """Expand S_sigma * S_tau in the Schur basis of weight |sigma|+|tau|.
-
-    Solves the exact linear system over the c-monomial coordinates; the
-    coefficients come out as nonnegative integers (Littlewood-Richardson).
-    """
-    sigma = tuple(int(x) for x in sigma)
-    tau = tuple(int(x) for x in tau)
-    K = sum(sigma) + sum(tau)
-    product = schur_in_chern(sigma, r) * schur_in_chern(tau, r)
-    basis = enumerate_partitions(K, r)
-    columns = [schur_in_chern(mu, r) for mu in basis]
-    monomials = sorted({e for col in columns for e in col.terms}
-                       | set(product.terms))
-    A = [[Fraction(col.terms.get(e, 0)) for col in columns] for e in monomials]
-    b = [Fraction(product.terms.get(e, 0)) for e in monomials]
-    coeffs = _solve_exact(A, b)
-    out: dict[tuple[int, ...], int] = {}
-    for mu, c in zip(basis, coeffs):
-        if c:
-            if c.denominator != 1:
-                raise ArithmeticError(f"non-integer Schur coefficient {c} at {mu}")
-            out[mu] = int(c)
-    return out
-
-
-def _solve_exact(A: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
-    """Gaussian elimination over Fractions; raises on inconsistency."""
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    M = [row[:] + [b[i]] for i, row in enumerate(A)]
-    pivots = []
-    rank = 0
-    for col in range(cols):
-        piv = next((i for i in range(rank, rows) if M[i][col] != 0), None)
-        if piv is None:
-            continue
-        M[rank], M[piv] = M[piv], M[rank]
-        inv = M[rank][col]
-        M[rank] = [x / inv for x in M[rank]]
-        for i in range(rows):
-            if i != rank and M[i][col] != 0:
-                f = M[i][col]
-                M[i] = [x - f * y for x, y in zip(M[i], M[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == rows:
-            break
-    for i in range(rank, rows):
-        if M[i][cols] != 0:
-            raise ArithmeticError("inconsistent linear system in Schur expansion")
-    sol = [Fraction(0)] * cols
-    for row, col in enumerate(pivots):
-        sol[col] = M[row][cols]
-    # columns without pivots would mean an underdetermined system; the Schur
-    # basis is linearly independent, so demand full column rank
-    if len(pivots) != cols:
-        raise ArithmeticError("Schur basis columns are not independent")
-    return sol

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from chernweil.batch import (MAX_TENSOR_ENTRIES, REPORT_SCHEMA_VERSION,
+from chernweil.batch import (MAX_DETERMINANT_SIZE, MAX_TENSOR_ENTRIES,
+                             REPORT_SCHEMA_VERSION,
                              SCHEMA_VERSION, RunConfig, check_form_file, child_seed,
                              curvature_from_json, curvature_to_json,
                              form_from_json, form_to_json, replay_witness,
@@ -391,6 +392,37 @@ def test_oversized_curvature_document_exits_two(tmp_path, capsys):
     assert main(["check-form", str(path)]) == 2
     err = capsys.readouterr().err
     assert "n = 100000000, r = 1" in err and str(MAX_TENSOR_ENTRIES) in err
+
+
+@pytest.mark.parametrize("kind", ["schur", "generalized_schur"])
+def test_trailing_zeros_of_sigma_do_not_count(tmp_path, kind):
+    # twelve parts of weight 1: answered at once, with the exit code and the
+    # record of [1] (s_1 = -c_1 is refuted, so generalized_schur exits 1)
+    results = []
+    for sigma in ([1] + [0] * 11, [1]):
+        path = _check_form_doc(tmp_path, {"kind": kind, "sigma": sigma})
+        out = tmp_path / "report.json"
+        code = main(["check-form", str(path), "--starts", "8", "--iters", "40",
+                     "--out", str(out)])
+        results.append((code, json.loads(out.read_text())["samples"]))
+    assert results[0] == results[1]
+    assert results[0][0] == (0 if kind == "schur" else 1)
+
+
+@pytest.mark.parametrize("form, field", [
+    ({"kind": "schur", "sigma": [1] * 9}, "sigma"),
+    ({"kind": "generalized_schur", "sigma": [1, -1] * 4 + [1, 0, 0]}, "sigma"),
+    ({"kind": "chern_oracle", "k": 9}, "k"),
+])
+def test_oversized_determinant_exits_two(tmp_path, capsys, form, field):
+    path = _check_form_doc(tmp_path, form)
+    assert main(["check-form", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"'{field}'" in err and str(MAX_DETERMINANT_SIZE) in err
+    # at the limit the document is accepted
+    size = MAX_DETERMINANT_SIZE
+    path = _check_form_doc(tmp_path, {"kind": "schur", "sigma": [1] * size + [0] * 4})
+    assert main(["check-form", str(path), "--starts", "8", "--iters", "40"]) == 0
 
 
 def test_cli_rejects_unknown_generator(capsys):

@@ -278,6 +278,15 @@ def test_energy_is_real_for_valid_points():
         assert abs(complex(e).imag) < 1e-10 * max(1.0, abs(e))
 
 
+@pytest.mark.parametrize("field", ["random_starts", "local_iters"])
+def test_search_budget_rejects_empty_searches(field):
+    # a search with no starts or no steps would certify vacuously
+    for value in (0, -1):
+        with pytest.raises(ValueError, match=field):
+            SearchBudget(**{field: value})
+    assert getattr(SearchBudget(**{field: 1}), field) == 1
+
+
 def test_minimum_identity_tensor():
     c = from_coefficients(identity_tensor(2, 2))
     rep = griffiths_minimum(c, SearchBudget(random_starts=8, local_iters=50))

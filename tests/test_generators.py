@@ -10,9 +10,8 @@ from chernweil.curvature import (NEGATIVE_WITNESS, SearchBudget, chern_form,
                                  griffiths_minimum, validate)
 from chernweil.exterior import ExteriorForm, hermitian_one_one, wedge
 from chernweil.generators import (GeneratorSpec, convex_combine,
-                                  dual_nakano_sample, epsilon_perturb,
-                                  indefinite_control, line_sum, psd_tensor,
-                                  sample)
+                                  dual_nakano_sample, indefinite_control,
+                                  line_sum, psd_tensor, sample)
 
 RNG = np.random.default_rng(20240814)
 BUDGET = SearchBudget(random_starts=16, local_iters=100)
@@ -153,22 +152,13 @@ def test_psd_tensor_rejects_bad_input():
 
 
 # ---------------------------------------------------------------------------
-# perturbations and mixtures
-
-def test_epsilon_perturb_identity_at_zero():
-    c = dual_nakano_sample(2, 2, seed=1)
-    again = epsilon_perturb(c, standard_omega(2), 0.0)
-    assert np.array_equal(c.t, again.t)
-    with pytest.raises(ValueError):
-        epsilon_perturb(c, standard_omega(2), -0.1)
-
+# mixtures
 
 def test_points_share_no_writable_state():
     t = dual_nakano_sample(2, 2, seed=1).t.copy()
     c = from_coefficients(t)
     t[0, 0, 0, 0] += 1.0  # the point holds its own copy
     before = c.t.copy()
-    epsilon_perturb(c, standard_omega(2), 0.5)
     convex_combine([c, c], [0.5, 2.0])
     assert np.array_equal(c.t, before)
     with pytest.raises(ValueError):
@@ -176,32 +166,6 @@ def test_points_share_no_writable_state():
     point, _ = indefinite_control(2, 2, seed=4)
     assert dual_nakano_sample(2, 2, seed=4, scale=0.6).t[0, 0, 0, 0] != -1.0
     assert point.t[0, 0, 0, 0] == -1.0
-
-
-def test_epsilon_perturb_shifts_energy_monotonically():
-    n, r = 2, 2
-    base = indefinite_control(n, r, seed=2)[0]
-    omega = standard_omega(n)
-    v, tau = random_probe(n, r, RNG)
-    values = []
-    for eps in (0.0, 0.5, 1.0, 2.0):
-        c = epsilon_perturb(base, omega, eps)
-        values.append(griffiths_energy(c, v, tau).real)
-    shift = (np.linalg.norm(v) * np.linalg.norm(tau)) ** 2
-    diffs = np.diff(values)
-    assert np.all(diffs > 0)
-    assert np.allclose(diffs, [0.5 * shift, 0.5 * shift, 1.0 * shift])
-
-
-def test_epsilon_perturb_first_chern_is_linear():
-    n, r = 2, 3
-    base = dual_nakano_sample(n, r, seed=4)
-    omega = standard_omega(n)
-    c0 = chern_form(base, 1)
-    for eps in (0.25, 1.5):
-        got = chern_form(epsilon_perturb(base, omega, eps), 1)
-        want = c0 + omega * (eps * r / (2.0 * math.pi))
-        assert (got - want).max_abs() < 1e-12
 
 
 def test_convex_combine_energies_are_linear():

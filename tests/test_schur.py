@@ -10,12 +10,12 @@ import itertools
 import pytest
 
 from chernweil.polynomial import SymPoly, antisymmetrize, divide_exact, vandermonde
-from chernweil.schur import (FlagType, complete_flag_oracle, conjugate_partition,
-                             dp_nu, dp_pushforward, enumerate_partitions,
-                             expand_in_roots, gschur_in_chern,
-                             gschur_in_segre, is_partition, jacobi_trudi_check,
-                             projective_oracle, schur_in_chern,
-                             schur_product_expand, segre_in_chern, segre_to_chern)
+from chernweil.schur import (FlagType, _det, complete_flag_oracle,
+                             conjugate_partition, dp_nu, dp_pushforward,
+                             enumerate_partitions, expand_in_roots,
+                             gschur_in_chern, gschur_in_segre, is_partition,
+                             jacobi_trudi_check, projective_oracle,
+                             schur_in_chern, segre_in_chern, segre_to_chern)
 
 
 def c_var(i, r):
@@ -140,6 +140,43 @@ def test_gschur_truncation_bounds_the_alphabet():
     s2, s3 = SymPoly.variable(1, 3), SymPoly.variable(2, 3)
     got = gschur_in_segre((1, 4), truncate=3)
     assert got.nvars == 3 and got == -(s2 * s3)
+
+
+def full_jacobi_trudi(sigma, nvars, top):
+    """det(x_{sigma_i + j - i}) over every row of sigma, trailing zero parts
+    included: x_0 = 1, x_l is slot l - 1 for 1 <= l <= top, 0 otherwise."""
+    def entry(i, j):
+        l = sigma[i] + j - i
+        if l == 0:
+            return SymPoly.one(nvars)
+        if l < 0 or l > top:
+            return SymPoly.zero(nvars)
+        return SymPoly.variable(l - 1, nvars)
+
+    k = len(sigma)
+    return _det([[entry(i, j) for j in range(k)] for i in range(k)], nvars)
+
+
+@pytest.mark.parametrize("sigma", [(), (1,), (2, 1), (3, 1, 1), (2, 2)])
+def test_trailing_zero_parts_leave_schur_in_chern_unchanged(sigma):
+    r = 3
+    for m in (1, 3):
+        padded = sigma + (0,) * m
+        assert schur_in_chern(padded, r) == schur_in_chern(sigma, r)
+        assert schur_in_chern(padded, r) == full_jacobi_trudi(padded, r, r)
+
+
+@pytest.mark.parametrize("sigma", [(), (2,), (2, 1), (-2, 1, 4), (1, 0, -1), (0, 3)])
+def test_trailing_zero_parts_leave_gschur_in_segre_unchanged(sigma):
+    for m in (1, 3):
+        padded = sigma + (0,) * m
+        top = max(x + len(padded) - 1 - i for i, x in enumerate(padded))
+        assert gschur_in_segre(padded) == gschur_in_segre(sigma)
+        assert gschur_in_segre(padded) == full_jacobi_trudi(padded, top, top)
+        for cut in (1, 2, 3):
+            got = gschur_in_segre(padded, truncate=cut)
+            assert got == gschur_in_segre(sigma, truncate=cut)
+            assert got == full_jacobi_trudi(padded, cut, cut)
 
 
 def test_proof_identity_rank3():
@@ -307,32 +344,3 @@ def test_tower_consistency_small():
             direct = dp_pushforward(SymPoly.monomial(lam), f3)
             mid = _front_block_pushforward(SymPoly.monomial(lam))
             assert dp_pushforward(mid, f13) == direct
-
-
-# ---------------------------------------------------------------------------
-# products of Schur polynomials
-
-def test_pieri_square():
-    out = schur_product_expand((1,), (1,), 3)
-    assert out == {(2, 0): 1, (1, 1): 1}
-
-
-def test_product_rank_one_collapse():
-    # rank 1: only single columns survive, so products stack columns
-    assert schur_product_expand((1,), (1,), 1) == {(1, 1): 1}
-    assert schur_product_expand((1,), (1, 1), 1) == {(1, 1, 1): 1}
-    # a part above the rank kills the factor and hence the product
-    assert schur_product_expand((1,), (2,), 1) == {}
-
-
-def test_littlewood_richardson_nonnegative():
-    for r in (2, 3):
-        for ka in (1, 2):
-            for kb in (1, 2):
-                for sa in enumerate_partitions(ka, r):
-                    for sb in enumerate_partitions(kb, r):
-                        out = schur_product_expand(sa, sb, r)
-                        assert all(v > 0 for v in out.values())
-                        # total weight is graded correctly
-                        for mu in out:
-                            assert sum(mu) == ka + kb
